@@ -66,7 +66,7 @@ def _fraction(text: str) -> Fraction:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--gap-factor", type=float, default=3.0, metavar="F",
+    common.add_argument("--gap-factor", type=_fraction, default=Fraction(3), metavar="F",
                         help="gap threshold multiple of the modal period (default 3)")
     common.add_argument("--min-gap-ticks", type=int, default=None, metavar="N",
                         help="absolute floor for the gap threshold (default period+1)")
@@ -147,10 +147,6 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _table(header, rows, cfg: RunConfig) -> str:
-    return format_table(header, rows, cfg.table_format)
-
-
 def _cmd_parse(args, cfg: RunConfig) -> int:
     stream = read_session(args.file, _parse_options(args))
     _print_warnings(stream, args.file)
@@ -160,7 +156,7 @@ def _cmd_parse(args, cfg: RunConfig) -> int:
     row = (args.file, str(report.n_samples), str(report.t_first), str(report.t_last),
            str(report.span), str(report.n_status_transitions), str(report.pressure_min),
            str(report.pressure_max), str(report.n_warnings))
-    _emit(_table(header, [row], cfg), args)
+    _emit(format_table(header, [row], cfg.table_format), args)
     return EXIT_OK
 
 
@@ -173,7 +169,7 @@ def _cmd_segment(args, cfg: RunConfig) -> int:
         (s.cls.value, str(s.start_t), str(s.end_t), str(s.duration), str(s.n_samples))
         for s in seg.strokes
     ]
-    _emit(_table(header, rows, cfg), args)
+    _emit(format_table(header, rows, cfg.table_format), args)
     return EXIT_OK
 
 
@@ -203,7 +199,7 @@ def _cmd_features(args, cfg: RunConfig) -> int:
             + tuple(str(v.value(f)) for f in Feature)
             + ("true" if v.anomalous else "false",)
         )
-    _emit(_table(header, rows, cfg), args)
+    _emit(format_table(header, rows, cfg.table_format), args)
     return EXIT_OK
 
 
@@ -254,7 +250,7 @@ def _cmd_compare(args, cfg: RunConfig) -> int:
         )
         for r in results
     ]
-    _emit(_table(header, rows, cfg), args)
+    _emit(format_table(header, rows, cfg.table_format), args)
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import DegenerateDataError, EmptyCohortError
 from .ingest import ManifestRecord
-from .segmentation import SessionSegmentation, StrokeClass
+from .segmentation import SessionSegmentation, StrokeClass, as_fraction
 
 
 class Feature(Enum):
@@ -39,14 +39,6 @@ _FEATURE_ATTR = {
 }
 
 
-def _as_fraction(value) -> Fraction:
-    # Floats go through their decimal repr so AnomalyPolicy(0.7) means 7/10,
-    # not the nearest binary double.
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class AnomalyPolicy:
     """Flag a file anomalous when long in-air time exceeds ``threshold`` of
@@ -55,7 +47,7 @@ class AnomalyPolicy:
     threshold: Fraction = Fraction(7, 10)
 
     def __post_init__(self):
-        thr = _as_fraction(self.threshold)
+        thr = as_fraction(self.threshold)
         object.__setattr__(self, "threshold", thr)
         if not 0 < thr <= 1:
             raise ValueError(f"threshold must be in (0, 1], got {thr}")

@@ -14,8 +14,13 @@ Relative paths are resolved against the manifest's own directory.
 from __future__ import annotations
 
 import csv
+import io
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
+from itertools import islice
+from operator import attrgetter, lt, ne
 from pathlib import Path
 from typing import NamedTuple
 
@@ -28,12 +33,18 @@ from .errors import (
 
 MANIFEST_HEADER = ("path", "database", "task", "subject", "cohort")
 
+# Column order of the seven-column file format, of Sample and of SampleStream.
+COLUMNS = ("x", "y", "t", "status", "azimuth", "altitude", "pressure")
+
 
 class PenStatus(IntEnum):
     """Pen contact state as recorded in the status column."""
 
     IN_AIR = 0
     ON_SURFACE = 1
+
+
+_PEN_STATUS = tuple(PenStatus)  # indexed by a status column value
 
 
 class ParseWarning(NamedTuple):
@@ -54,31 +65,119 @@ class Sample:
     pressure: int = 0
 
 
-@dataclass(frozen=True)
+def _sample(x, y, t, status, azimuth, altitude, pressure) -> Sample:
+    return Sample(x, y, t, _PEN_STATUS[status], azimuth, altitude, pressure)
+
+
+class SampleView(Sequence):
+    """Read-only sequence of :class:`Sample` rows over a stream's columns.
+
+    Rows are built when read; ``len()`` touches no row. Slicing returns a
+    tuple of Samples.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: tuple[tuple[int, ...], ...]):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[2])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(_sample, *(c[index] for c in self._columns)))
+        return _sample(*(c[index] for c in self._columns))
+
+    def __iter__(self):
+        return map(_sample, *self._columns)
+
+    def __eq__(self, other):
+        if isinstance(other, SampleView):
+            return self._columns == other._columns
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, init=False)
 class SampleStream:
-    """An ordered recording with strictly increasing timestamps."""
+    """An ordered recording with strictly increasing timestamps.
 
-    samples: tuple[Sample, ...]
-    source_id: str = "<stream>"
-    warnings: tuple[ParseWarning, ...] = ()
+    Holds one tuple of ints per column, in :data:`COLUMNS` order; ``status``
+    is 1 on the surface and 0 in the air. ``samples`` views the same data as
+    :class:`Sample` rows. ``SampleStream(samples)`` builds a stream from
+    Sample rows and :meth:`from_columns` from columns; both check that
+    timestamps strictly increase and raise ValueError otherwise.
+    """
 
-    def __post_init__(self):
-        if not self.samples:
-            raise EmptyInputError(f"{self.source_id}: no samples")
-        for prev, cur in zip(self.samples, self.samples[1:]):
-            if cur.t <= prev.t:
-                raise ValueError(
-                    f"{self.source_id}: timestamps must strictly increase "
-                    f"({prev.t} then {cur.t})"
-                )
+    x: tuple[int, ...]
+    y: tuple[int, ...]
+    t: tuple[int, ...]
+    status: tuple[int, ...]
+    azimuth: tuple[int, ...]
+    altitude: tuple[int, ...]
+    pressure: tuple[int, ...]
+    source_id: str
+    warnings: tuple[ParseWarning, ...]
+
+    def __init__(self, samples, source_id: str = "<stream>",
+                 warnings: tuple[ParseWarning, ...] = ()):
+        rows = tuple(map(attrgetter(*COLUMNS), samples))
+        x, y, t, status, *aux = zip(*rows) if rows else ((),) * len(COLUMNS)
+        self._set(_checked_columns(source_id, x, y, t, tuple(map(int, status)), *aux),
+                  source_id, warnings)
+
+    @classmethod
+    def from_columns(cls, x, y, t, status, azimuth=None, altitude=None, pressure=None,
+                     *, source_id: str = "<stream>",
+                     warnings: tuple[ParseWarning, ...] = ()) -> "SampleStream":
+        """Build a stream from integer columns of equal length; omitted
+        auxiliary columns are zero-filled."""
+        columns = _checked_columns(source_id, x, y, t, status, azimuth, altitude, pressure)
+        return cls._from_valid_columns(columns, source_id, warnings)
+
+    @classmethod
+    def _from_valid_columns(cls, columns, source_id, warnings) -> "SampleStream":
+        stream = object.__new__(cls)
+        stream._set(columns, source_id, warnings)
+        return stream
+
+    def _set(self, columns, source_id, warnings) -> None:
+        for name, value in zip(COLUMNS + ("source_id", "warnings"),
+                               columns + (source_id, tuple(warnings))):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def samples(self) -> SampleView:
+        return SampleView(tuple(getattr(self, name) for name in COLUMNS))
 
     @property
     def t_first(self) -> int:
-        return self.samples[0].t
+        return self.t[0]
 
     @property
     def t_last(self) -> int:
-        return self.samples[-1].t
+        return self.t[-1]
+
+
+def _checked_columns(source_id: str, *columns) -> tuple[tuple[int, ...], ...]:
+    # the checks of a hand-built stream; the parser makes its own as it reads
+    t = tuple(columns[2])
+    if not t:
+        raise EmptyInputError(f"{source_id}: no samples")
+    zeros = (0,) * len(t)
+    columns = tuple(zeros if c is None else tuple(c) for c in columns)
+    if any(len(c) != len(t) for c in columns):
+        raise ValueError(f"{source_id}: columns differ in length")
+    if not all(map(lt, t, islice(t, 1, None))):
+        prev, cur = next((a, b) for a, b in zip(t, t[1:]) if b <= a)
+        raise ValueError(
+            f"{source_id}: timestamps must strictly increase ({prev} then {cur})"
+        )
+    return columns
 
 
 @dataclass(frozen=True)
@@ -93,6 +192,83 @@ class ParseOptions:
     derive_status_from_pressure: bool = False
 
 
+# Text is parsed a block of about this many characters (some thousand rows)
+# at a time: split each line, transpose, then int() per column.
+_BLOCK_CHARS = 32768
+
+
+class _ColumnBuilder:
+    """Validates blocks of split rows and appends them to per-column lists.
+
+    A block that fails any check is bisected until the failing row stands
+    alone; that row is then diagnosed exactly as a row-by-row reader would,
+    so the first faulty line in the file raises, or a duplicate-timestamp row
+    is dropped with a warning.
+    """
+
+    def __init__(self):
+        self.width: int | None = None
+        self.last_t: int | None = None
+        self.columns: list[list[int]] = [[] for _ in COLUMNS]
+        self.warnings: list[ParseWarning] = []
+
+    def add(self, lines: list[str], rows: list[list[str]], lineno: int) -> None:
+        """Take ``lines``, whose first is line ``lineno`` of the file, and
+        ``rows``, the same lines split into fields."""
+        block = self._valid_block(rows)
+        if block is not None:
+            for column, values in zip(self.columns, block):
+                column.extend(values)
+            self.width = len(block)
+            self.last_t = block[2][-1]
+        elif len(rows) > 1:
+            mid = len(rows) // 2
+            self.add(lines[:mid], rows[:mid], lineno)
+            self.add(lines[mid:], rows[mid:], lineno + mid)
+        elif rows[0]:
+            self._reject(lines[0], rows[0], lineno)
+
+    def _valid_block(self, rows):
+        width = self.width or len(rows[0])
+        if width not in (4, 7) or {*map(len, rows)} != {width}:
+            return None
+        try:
+            block = [tuple(map(int, column)) for column in zip(*rows)]
+        except ValueError:
+            return None
+        t = block[2]
+        if not {*block[3]} <= {0, 1} or (width == 7 and min(block[6]) < 0):
+            return None
+        if self.last_t is not None and t[0] <= self.last_t:
+            return None
+        if not all(map(lt, t, islice(t, 1, None))):
+            return None
+        return block
+
+    def _reject(self, raw: str, fields: list[str], lineno: int) -> None:
+        # one non-blank row that failed _valid_block; the checks run in the
+        # order of a row-by-row reader, so the same fault wins
+        if self.width is None:
+            if len(fields) not in (4, 7):
+                raise ParseError(f"expected 4 or 7 columns, got {len(fields)}", lineno)
+        elif len(fields) != self.width:
+            raise ParseError(f"expected {self.width} columns, got {len(fields)}", lineno)
+        try:
+            values = [int(f) for f in fields]
+        except ValueError:
+            raise ParseError(f"non-integer field in {raw.strip()!r}", lineno) from None
+        t, status_raw = values[2], values[3]
+        pressure = values[6] if len(values) == 7 else 0
+        if status_raw not in (0, 1):
+            raise ParseError(f"status must be 0 or 1, got {status_raw}", lineno)
+        if pressure < 0:
+            raise ParseError(f"negative pressure {pressure}", lineno)
+        # only the order check is left, so t <= last_t
+        if t < self.last_t:
+            raise TimestampOrderError(f"timestamp {t} after {self.last_t}", lineno)
+        self.warnings.append(ParseWarning(lineno, f"duplicate timestamp {t} dropped"))
+
+
 def parse_session(
     text: str,
     options: ParseOptions | None = None,
@@ -105,50 +281,28 @@ def parse_session(
     and recorded in ``stream.warnings``. Blank lines are skipped. Raises
     ParseError for a malformed row or a column count that changes mid-file,
     TimestampOrderError when timestamps decrease, and EmptyInputError when no
-    sample rows remain.
+    sample rows remain. Four-column files get zero-filled auxiliary columns.
     """
     opts = options or ParseOptions()
-    samples: list[Sample] = []
-    warnings: list[ParseWarning] = []
-    width: int | None = None
-    last_t: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        if not fields:
-            continue
-        if width is None:
-            if len(fields) not in (4, 7):
-                raise ParseError(f"expected 4 or 7 columns, got {len(fields)}", lineno)
-            width = len(fields)
-        elif len(fields) != width:
-            raise ParseError(f"expected {width} columns, got {len(fields)}", lineno)
-        try:
-            values = [int(f) for f in fields]
-        except ValueError:
-            raise ParseError(f"non-integer field in {raw.strip()!r}", lineno) from None
-        x, y, t, status_raw = values[:4]
-        azimuth, altitude, pressure = values[4:] or (0, 0, 0)
-        if status_raw not in (0, 1):
-            raise ParseError(f"status must be 0 or 1, got {status_raw}", lineno)
-        if pressure < 0:
-            raise ParseError(f"negative pressure {pressure}", lineno)
-        if opts.derive_status_from_pressure:
-            status = PenStatus.ON_SURFACE if pressure > 0 else PenStatus.IN_AIR
-        else:
-            status = PenStatus(status_raw)
-        if last_t is not None:
-            if t < last_t:
-                raise TimestampOrderError(
-                    f"timestamp {t} after {last_t}", lineno
-                )
-            if t == last_t:
-                warnings.append(ParseWarning(lineno, f"duplicate timestamp {t} dropped"))
-                continue
-        samples.append(Sample(x, y, t, status, azimuth, altitude, pressure))
-        last_t = t
-    if not samples:
+    builder = _ColumnBuilder()
+    pos, lineno = 0, 1
+    while pos < len(text):
+        # cut just after a "\n", so the blocks' splitlines() adds up to the text's
+        end = text.find("\n", pos + _BLOCK_CHARS) + 1 or len(text)
+        lines = text[pos:end].splitlines()
+        builder.add(lines, list(map(str.split, lines)), lineno)
+        pos, lineno = end, lineno + len(lines)
+    columns = builder.columns
+    n = len(columns[2])
+    if not n:
         raise EmptyInputError(f"{source_id}: no samples")
-    return SampleStream(tuple(samples), source_id, tuple(warnings))
+    zeros = (0,) * n
+    for k, column in enumerate(columns):  # one column's list and tuple alive at a time
+        columns[k] = tuple(column) if column else zeros
+    if opts.derive_status_from_pressure:
+        columns[3] = tuple([1 if p > 0 else 0 for p in columns[6]])
+    return SampleStream._from_valid_columns(tuple(columns), source_id,
+                                            tuple(builder.warnings))
 
 
 def read_session(path: str | Path, options: ParseOptions | None = None) -> SampleStream:
@@ -160,11 +314,8 @@ def read_session(path: str | Path, options: ParseOptions | None = None) -> Sampl
 
 def serialize_session(stream: SampleStream) -> str:
     """Render a stream to seven-column text; parse -> serialize -> parse is identity."""
-    lines = [
-        f"{s.x} {s.y} {s.t} {int(s.status)} {s.azimuth} {s.altitude} {s.pressure}"
-        for s in stream.samples
-    ]
-    return "\n".join(lines) + "\n"
+    columns = (getattr(stream, name) for name in COLUMNS)
+    return "\n".join(map("{} {} {} {} {} {} {}".format, *columns)) + "\n"
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,7 +347,8 @@ def load_manifest(text: str, base_dir: str | Path | None = None) -> CorpusManife
     missing or misspelled header, a row with the wrong field count, an empty
     label, or a duplicate (database, task, subject, path) combination.
     """
-    rows = list(csv.reader(text.splitlines()))
+    # csv splits the lines itself, so a quoted label may hold a line break
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise ManifestError("missing manifest header")
     header = tuple(h.strip() for h in rows[0])
@@ -253,18 +405,14 @@ class ValidationReport:
 
 
 def validate_stream(stream: SampleStream) -> ValidationReport:
-    samples = stream.samples
-    transitions = sum(
-        1 for a, b in zip(samples, samples[1:]) if a.status != b.status
-    )
-    pressures = [s.pressure for s in samples]
+    status = stream.status
     return ValidationReport(
         source_id=stream.source_id,
-        n_samples=len(samples),
-        t_first=samples[0].t,
-        t_last=samples[-1].t,
-        n_status_transitions=transitions,
-        pressure_min=min(pressures),
-        pressure_max=max(pressures),
+        n_samples=len(stream.t),
+        t_first=stream.t_first,
+        t_last=stream.t_last,
+        n_status_transitions=sum(map(ne, status, islice(status, 1, None))),
+        pressure_min=min(stream.pressure),
+        pressure_max=max(stream.pressure),
         n_warnings=len(stream.warnings),
     )

@@ -10,13 +10,13 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Sequence
+from typing import Sequence
 from xml.etree import ElementTree as ET
 
 from .features import AnomalyPolicy, CohortSummary, Feature
 from .ingest import SampleStream
 from .segmentation import SegmentationConfig, SessionSegmentation, StrokeClass
-from .stats import ALPHA, RankTestResult
+from .stats import RankTestResult
 
 
 class TableFormat:
@@ -31,17 +31,15 @@ class RunConfig:
     The significance level is fixed; it is not a knob.
     """
 
-    gap_factor: float | Fraction = 3.0
+    gap_factor: Fraction = Fraction(3)
     min_gap_ticks: int | None = None
     anomaly_threshold: Fraction = Fraction(7, 10)
     exact_limit: int = 20
     table_format: str = TableFormat.CSV
 
-    SIGNIFICANCE: ClassVar[Fraction] = ALPHA
-
     def __post_init__(self):
         # fail fast on bad flag values; constructors re-validate on use
-        self.segmentation_config()
+        object.__setattr__(self, "gap_factor", self.segmentation_config().gap_factor)
         self.anomaly_policy()
         if self.exact_limit < 2:
             raise ValueError(f"exact limit must be >= 2, got {self.exact_limit}")
@@ -151,8 +149,7 @@ _PANEL_COLORS = {StrokeClass.ON_SURFACE: "#1f6feb", StrokeClass.IN_AIR_SHORT: "#
 
 def _panel(stream: SampleStream, seg: SessionSegmentation, cls: StrokeClass,
            y_offset: int, label: str) -> ET.Element:
-    xs = [s.x for s in stream.samples]
-    ys = [s.y for s in stream.samples]
+    xs, ys = stream.x, stream.y
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     # 5% margin around the data bounds; degenerate extents get a unit pad
@@ -174,7 +171,7 @@ def _panel(stream: SampleStream, seg: SessionSegmentation, cls: StrokeClass,
         if stroke.cls is not cls or stroke.n_samples == 0:
             continue
         lo, hi = stroke.sample_range
-        points = " ".join(f"{s.x},{s.y}" for s in stream.samples[lo:hi])
+        points = " ".join(map("{},{}".format, xs[lo:hi], ys[lo:hi]))
         ET.SubElement(
             panel,
             "polyline",

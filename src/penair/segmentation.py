@@ -15,10 +15,22 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress, count, islice
+from math import floor
+from operator import ne, sub
 from typing import NamedTuple
 
 from .errors import InsufficientDataError
-from .ingest import PenStatus, Sample, SampleStream
+from .ingest import PenStatus, SampleStream
+
+
+def as_fraction(value) -> Fraction:
+    """Exact rational for a config value. Floats go through their decimal
+    repr, so 0.7 means 7/10 and 4.35 means 87/20, not the nearest binary
+    double."""
+    if isinstance(value, float):
+        return Fraction(str(value))
+    return Fraction(value)
 
 
 class StrokeClass(Enum):
@@ -46,21 +58,23 @@ class SegmentationConfig:
     An interval is a gap when it exceeds
     ``max(gap_factor * modal_period, min_gap_ticks)`` strictly.
     ``min_gap_ticks`` defaults to modal_period + 1, so at the default settings
-    nothing under twice the sampling period can ever be a gap.
+    nothing under twice the sampling period can ever be a gap. ``gap_factor``
+    is held as an exact Fraction, so the boundary is exact.
     """
 
-    gap_factor: float | Fraction = 3.0
+    gap_factor: Fraction = Fraction(3)
     min_gap_ticks: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "gap_factor", as_fraction(self.gap_factor))
         if not self.gap_factor > 1:
             raise ValueError(f"gap_factor must be > 1, got {self.gap_factor}")
         if self.min_gap_ticks is not None and self.min_gap_ticks < 1:
             raise ValueError("min_gap_ticks must be >= 1")
 
-    def gap_threshold(self, period: int) -> float | Fraction:
-        floor = self.min_gap_ticks if self.min_gap_ticks is not None else period + 1
-        return max(self.gap_factor * period, floor)
+    def gap_threshold(self, period: int) -> Fraction | int:
+        floor_ticks = self.min_gap_ticks if self.min_gap_ticks is not None else period + 1
+        return max(self.gap_factor * period, floor_ticks)
 
 
 @dataclass(frozen=True)
@@ -97,17 +111,27 @@ class SessionSegmentation:
         return sum(self.class_times.values())
 
 
-def nominal_period(stream: SampleStream) -> int:
-    """Modal inter-sample difference; ties resolve to the smaller value."""
-    if len(stream.samples) < 2:
-        raise InsufficientDataError(
-            f"{stream.source_id}: nominal period needs at least 2 samples"
-        )
-    counts = Counter(
-        b.t - a.t for a, b in zip(stream.samples, stream.samples[1:])
-    )
+def _intervals(stream: SampleStream) -> tuple[int, ...]:
+    t = stream.t
+    return tuple(map(sub, islice(t, 1, None), t))
+
+
+def _modal_period(intervals: tuple[int, ...], source_id: str) -> int:
+    if not intervals:
+        raise InsufficientDataError(f"{source_id}: nominal period needs at least 2 samples")
+    counts = Counter(intervals)
     best = max(counts.values())
     return min(d for d, c in counts.items() if c == best)
+
+
+def _gap_indices(intervals: tuple[int, ...], threshold: Fraction | int) -> list[int]:
+    # intervals are integers, so "> threshold" is "> floor(threshold)"
+    return list(compress(count(), map(floor(threshold).__lt__, intervals)))
+
+
+def nominal_period(stream: SampleStream) -> int:
+    """Modal inter-sample difference; ties resolve to the smaller value."""
+    return _modal_period(_intervals(stream), stream.source_id)
 
 
 def detect_gaps(
@@ -115,24 +139,10 @@ def detect_gaps(
 ) -> tuple[Gap, ...]:
     """Ordered oversized intervals, each strictly above the gap threshold."""
     cfg = config or SegmentationConfig()
-    threshold = cfg.gap_threshold(nominal_period(stream))
-    samples = stream.samples
-    return tuple(
-        Gap(i, samples[i].t, samples[i + 1].t)
-        for i in range(len(samples) - 1)
-        if samples[i + 1].t - samples[i].t > threshold
-    )
-
-
-def _run_stroke(samples: tuple[Sample, ...], first: int, last: int, end_t: int) -> Stroke:
-    # Run of same-status samples first..last; the caller fixes where the
-    # stroke's time span ends (next run start, gap start, or last timestamp).
-    return Stroke(
-        StrokeClass.from_status(samples[first].status),
-        samples[first].t,
-        end_t,
-        (first, last + 1),
-    )
+    intervals = _intervals(stream)
+    threshold = cfg.gap_threshold(_modal_period(intervals, stream.source_id))
+    t = stream.t
+    return tuple(Gap(i, t[i], t[i + 1]) for i in _gap_indices(intervals, threshold))
 
 
 def segment(
@@ -148,34 +158,28 @@ def segment(
     exactly to t_last - t_first.
     """
     cfg = config or SegmentationConfig()
-    samples = stream.samples
+    t, status = stream.t, stream.status
     strokes: list[Stroke] = []
-    if len(samples) == 1:
-        only = samples[0]
-        strokes.append(
-            Stroke(StrokeClass.from_status(only.status), only.t, only.t, (0, 1))
-        )
-        period = 0
-    else:
-        period = nominal_period(stream)
-        gap_at = {g.index for g in detect_gaps(stream, cfg)}
-        run_start = 0
-        for i in range(len(samples) - 1):
-            if i in gap_at:
-                strokes.append(_run_stroke(samples, run_start, i, samples[i].t))
-                strokes.append(
-                    Stroke(
-                        StrokeClass.IN_AIR_LONG,
-                        samples[i].t,
-                        samples[i + 1].t,
-                        (i + 1, i + 1),
-                    )
-                )
-                run_start = i + 1
-            elif samples[i + 1].status != samples[i].status:
-                strokes.append(_run_stroke(samples, run_start, i, samples[i + 1].t))
-                run_start = i + 1
-        strokes.append(_run_stroke(samples, run_start, len(samples) - 1, samples[-1].t))
+    period = 0
+    gaps: set[int] = set()
+    if len(t) > 1:
+        intervals = _intervals(stream)
+        period = _modal_period(intervals, stream.source_id)
+        gaps = set(_gap_indices(intervals, cfg.gap_threshold(period)))
+    changes = compress(count(), map(ne, status, islice(status, 1, None)))
+    run_start = 0
+    # a run of same-status samples ends at a gap or before a status change
+    for i in sorted(gaps.union(changes)):
+        # the run's span ends where the gap starts or where the next run starts
+        end_t = t[i] if i in gaps else t[i + 1]
+        strokes.append(Stroke(StrokeClass.from_status(status[run_start]), t[run_start], end_t,
+                              (run_start, i + 1)))
+        if i in gaps:
+            strokes.append(Stroke(StrokeClass.IN_AIR_LONG, t[i], t[i + 1], (i + 1, i + 1)))
+        run_start = i + 1
+    last = len(t) - 1
+    strokes.append(Stroke(StrokeClass.from_status(status[run_start]), t[run_start], t[last],
+                          (run_start, last + 1)))
     times = {c: 0 for c in StrokeClass}
     counts = {c: 0 for c in StrokeClass}
     for s in strokes:

@@ -15,6 +15,7 @@ per role from sha256 of "{master_seed}:{label}".
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import random
 from configparser import ConfigParser, Error as ConfigParserError
@@ -23,8 +24,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import SynthSpecError
-from .ingest import PenStatus, Sample, SampleStream, serialize_session
-from .segmentation import StrokeClass, nominal_period as _realized_period
+from .ingest import MANIFEST_HEADER, SampleStream, serialize_session
+from .segmentation import (
+    SegmentationConfig,
+    StrokeClass,
+    as_fraction,
+    detect_gaps,
+    nominal_period,
+)
 
 
 def file_seed(master_seed: int, label: str) -> int:
@@ -50,10 +57,11 @@ class SynthSpec:
     jitter: int
     stroke_plan: tuple[tuple[StrokeClass, int], ...]
     seed: int
-    gap_factor: float | Fraction = 3.0
+    gap_factor: Fraction = Fraction(3)
 
     def __post_init__(self):
         object.__setattr__(self, "stroke_plan", tuple(tuple(e) for e in self.stroke_plan))
+        object.__setattr__(self, "gap_factor", as_fraction(self.gap_factor))
         p, j, gf = self.nominal_period, self.jitter, self.gap_factor
         if p < 1:
             raise SynthSpecError(f"nominal_period must be >= 1, got {p}")
@@ -110,7 +118,8 @@ class _PenWalk:
         self.altitude = rng.randint(30, 80)
         self.pressure = rng.randint(300, 700)
 
-    def sample(self, t: int, cls: StrokeClass) -> Sample:
+    def sample(self, t: int, cls: StrokeClass) -> tuple[int, ...]:
+        """One row in column order: x y t status azimuth altitude pressure."""
         rng = self.rng
         self.vx = max(-12, min(12, self.vx + rng.randint(-2, 2)))
         self.vy = max(-12, min(12, self.vy + rng.randint(-2, 2)))
@@ -120,10 +129,8 @@ class _PenWalk:
         self.altitude = max(15, min(85, self.altitude + rng.randint(-1, 1)))
         if cls is StrokeClass.ON_SURFACE:
             self.pressure = max(150, min(1000, self.pressure + rng.randint(-25, 25)))
-            return Sample(self.x, self.y, t, PenStatus.ON_SURFACE,
-                          self.azimuth, self.altitude, self.pressure)
-        return Sample(self.x, self.y, t, PenStatus.IN_AIR,
-                      self.azimuth, self.altitude, 0)
+            return (self.x, self.y, t, 1, self.azimuth, self.altitude, self.pressure)
+        return (self.x, self.y, t, 0, self.azimuth, self.altitude, 0)
 
 
 def generate_session(spec: SynthSpec) -> tuple[SampleStream, GroundTruth]:
@@ -141,32 +148,32 @@ def generate_session(spec: SynthSpec) -> tuple[SampleStream, GroundTruth]:
     walk = _PenWalk(rng)
     period, jitter = spec.nominal_period, spec.jitter
     plan = spec.stroke_plan
-    samples: list[Sample] = []
+    rows: list[tuple[int, ...]] = []
     gt: list[tuple[StrokeClass, int, int]] = []
     t = 0
     for i, (cls, dur) in enumerate(plan):
         seg_start, seg_end = t, t + dur
         if cls is StrokeClass.IN_AIR_LONG:
-            # validated: never first, so samples[-1] exists
-            gt.append((cls, samples[-1].t, seg_end))
+            # validated: never first, so rows[-1] exists
+            gt.append((cls, rows[-1][2], seg_end))
             t = seg_end
             continue
         emit_t = seg_start
         while True:
-            samples.append(walk.sample(emit_t, cls))
+            rows.append(walk.sample(emit_t, cls))
             step = period + rng.randint(-jitter, jitter)
             if emit_t + step >= seg_end:
                 break
             emit_t += step
         if i + 1 == len(plan):
-            samples.append(walk.sample(seg_end, cls))  # closing sample
+            rows.append(walk.sample(seg_end, cls))  # closing sample
             gt.append((cls, seg_start, seg_end))
         elif plan[i + 1][0] is StrokeClass.IN_AIR_LONG:
-            gt.append((cls, seg_start, samples[-1].t))
+            gt.append((cls, seg_start, rows[-1][2]))
         else:
             gt.append((cls, seg_start, seg_end))
         t = seg_end
-    stream = SampleStream(tuple(samples), source_id=f"synth:{spec.seed}")
+    stream = SampleStream.from_columns(*zip(*rows), source_id=f"synth:{spec.seed}")
     _verify_unambiguous(stream, spec, gt)
     times = {c: 0 for c in StrokeClass}
     counts = {c: 0 for c in StrokeClass}
@@ -179,25 +186,28 @@ def generate_session(spec: SynthSpec) -> tuple[SampleStream, GroundTruth]:
 def _verify_unambiguous(
     stream: SampleStream, spec: SynthSpec, gt: list[tuple[StrokeClass, int, int]]
 ) -> None:
-    # Recompute the threshold segmentation will use and confirm every diff
-    # lands on the intended side. SynthSpec's invariants make failures
-    # impossible for sane plans; this guards degenerate ones loudly.
-    period = _realized_period(stream) if len(stream.samples) > 1 else spec.nominal_period
-    threshold = max(spec.gap_factor * period, period + 1)
-    gap_spans = {(start, end) for cls, start, end in gt if cls is StrokeClass.IN_AIR_LONG}
-    for a, b in zip(stream.samples, stream.samples[1:]):
-        diff = b.t - a.t
-        if (a.t, b.t) in gap_spans:
-            if not diff > threshold:
-                raise SynthSpecError(
-                    f"seed {spec.seed}: planned gap {diff} does not clear "
-                    f"threshold {threshold}"
-                )
-        elif diff > threshold:
-            raise SynthSpecError(
-                f"seed {spec.seed}: sampling step {diff} crosses threshold "
-                f"{threshold}; ground truth would be ambiguous"
-            )
+    # Run the segmenter's own gap detection and confirm it finds exactly the
+    # planned gaps. SynthSpec's invariants make failures impossible for sane
+    # plans; this guards degenerate ones loudly.
+    if len(stream.t) < 2:
+        return
+    cfg = SegmentationConfig(spec.gap_factor)
+    found = {(g.start_t, g.end_t) for g in detect_gaps(stream, cfg)}
+    planned = {(start, end) for cls, start, end in gt if cls is StrokeClass.IN_AIR_LONG}
+    if found == planned:
+        return
+    # the earliest interval on the wrong side of the threshold
+    start, end = min(found ^ planned)
+    threshold = cfg.gap_threshold(nominal_period(stream))
+    if (start, end) in planned:
+        raise SynthSpecError(
+            f"seed {spec.seed}: planned gap {end - start} does not clear "
+            f"threshold {threshold}"
+        )
+    raise SynthSpecError(
+        f"seed {spec.seed}: sampling step {end - start} crosses threshold "
+        f"{threshold}; ground truth would be ambiguous"
+    )
 
 
 @dataclass(frozen=True)
@@ -267,7 +277,7 @@ class CorpusSpec:
     cohorts: dict[str, CohortSpec]
     database: str = "synth"
     task: str = "synth"
-    gap_factor: float | Fraction = 3.0
+    gap_factor: Fraction = Fraction(3)
 
     def __post_init__(self):
         if not self.cohorts:
@@ -298,9 +308,10 @@ def generate_corpus(
             (out / name).write_text(serialize_session(stream), encoding="utf-8")
             rows.append((name, spec.database, spec.task, f"{cohort_name}_{i:03d}", cohort_name))
     manifest = out / "manifest.csv"
-    lines = ["path,database,task,subject,cohort"]
-    lines += [",".join(row) for row in rows]
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(manifest, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(MANIFEST_HEADER)
+        writer.writerows(rows)
     return manifest
 
 
@@ -348,8 +359,8 @@ def load_corpus_spec(text: str) -> CorpusSpec:
     try:
         period = corpus.getint("period")
         jitter = corpus.getint("jitter", 0)
-        gap_factor = corpus.getfloat("gap_factor", 3.0)
-    except ValueError as exc:
+        gap_factor = Fraction(corpus.get("gap_factor", "3").strip())
+    except (ValueError, ZeroDivisionError) as exc:
         raise SynthSpecError(f"[corpus]: {exc}") from None
     if period is None:
         raise SynthSpecError("[corpus] must set period")

@@ -1,3 +1,5 @@
+import csv
+import io
 from xml.etree import ElementTree as ET
 
 from penair.cli import main
@@ -260,3 +262,32 @@ def test_render_svg(tmp_path, capsys):
     assert main(["render", str(path), "--out", str(target)]) == 0
     root = ET.fromstring(target.read_text(encoding="utf-8"))
     assert root.tag.endswith("svg")
+
+
+def test_gap_factor_boundary_exact(tmp_path, capsys):
+    # period 100; 4.35 * 100 is 434.99999999999994 in binary floating point,
+    # but a 435-tick interval does not strictly exceed 4.35 periods
+    times = [0, 100, 200, 300, 735, 835, 935, 1035, 1471, 1571, 1671]
+    text = "".join(f"0 0 {t} 1\n" for t in times)
+    path = write_session(tmp_path, text=text)
+    assert main(["segment", str(path), "--gap-factor", "4.35"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [r for r in rows if r.startswith("in_air_long")] == ["in_air_long,1035,1471,436,0"]
+
+
+ODD_LABELS_INI = CORPUS_INI.replace("database = demo", "database = clinic, north").replace(
+    "task = copy", 'task = say "hi",\n  twice').replace(
+    "[cohort control]", "[cohort control, a]").replace("[cohort patient]", '[cohort pat"ient]')
+
+
+def test_synth_manifest_with_odd_labels_is_read_back(tmp_path, capsys):
+    spec = tmp_path / "corpus.ini"
+    spec.write_text(ODD_LABELS_INI, encoding="utf-8")
+    out = tmp_path / "corpus"
+    assert main(["synth", "--spec", str(spec), "--seed", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["features", str(out / "manifest.csv")]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+    assert len(rows) == 9
+    assert {tuple(r[1:3]) for r in rows[1:]} == {("clinic, north", 'say "hi",\ntwice')}
+    assert sorted({r[4] for r in rows[1:]}) == ["control, a", 'pat"ient']

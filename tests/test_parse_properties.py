@@ -1,0 +1,185 @@
+"""Property tests for the columnar parser.
+
+``reference_parse`` is the row-by-row parser that ``parse_session`` replaced,
+kept here as the oracle: on every generated text both must return the same
+samples and warnings, or raise the same exception with the same message and
+line number.
+"""
+
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from penair import (
+    EmptyInputError,
+    ParseError,
+    ParseOptions,
+    ParseWarning,
+    PenStatus,
+    Sample,
+    SampleStream,
+    TimestampOrderError,
+    parse_session,
+    serialize_session,
+)
+from penair import ingest
+
+
+def reference_parse(text, options=None, source_id="<stream>"):
+    """Row-by-row parse; returns (samples, warnings) or raises."""
+    opts = options or ParseOptions()
+    samples = []
+    warnings = []
+    width = None
+    last_t = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields:
+            continue
+        if width is None:
+            if len(fields) not in (4, 7):
+                raise ParseError(f"expected 4 or 7 columns, got {len(fields)}", lineno)
+            width = len(fields)
+        elif len(fields) != width:
+            raise ParseError(f"expected {width} columns, got {len(fields)}", lineno)
+        try:
+            values = [int(f) for f in fields]
+        except ValueError:
+            raise ParseError(f"non-integer field in {raw.strip()!r}", lineno) from None
+        x, y, t, status_raw = values[:4]
+        azimuth, altitude, pressure = values[4:] or (0, 0, 0)
+        if status_raw not in (0, 1):
+            raise ParseError(f"status must be 0 or 1, got {status_raw}", lineno)
+        if pressure < 0:
+            raise ParseError(f"negative pressure {pressure}", lineno)
+        if opts.derive_status_from_pressure:
+            status = PenStatus.ON_SURFACE if pressure > 0 else PenStatus.IN_AIR
+        else:
+            status = PenStatus(status_raw)
+        if last_t is not None:
+            if t < last_t:
+                raise TimestampOrderError(f"timestamp {t} after {last_t}", lineno)
+            if t == last_t:
+                warnings.append(ParseWarning(lineno, f"duplicate timestamp {t} dropped"))
+                continue
+        samples.append(Sample(x, y, t, status, azimuth, altitude, pressure))
+        last_t = t
+    if not samples:
+        raise EmptyInputError(f"{source_id}: no samples")
+    return tuple(samples), tuple(warnings)
+
+
+def _outcome(parse, *args):
+    try:
+        return "ok", parse(*args)
+    except (ParseError, EmptyInputError) as exc:
+        return "error", (type(exc), str(exc), getattr(exc, "line", None))
+
+
+_SEPARATORS = st.sampled_from([" ", " ", " ", "\t", "  ", " \t"])
+_BAD_TOKENS = st.sampled_from(["x", "1.5", "1e2", "--1", "", "+", "0x1f"])
+_ODD_INTS = st.sampled_from(["+7", "007", "-0", "1_000", "٣", "99999999999999999999"])
+
+
+_FAULTS = ("dup", "back", "status", "pressure", "token", "odd", "ragged")
+
+
+@st.composite
+def recording_texts(draw):
+    """Recording-like text: mostly valid rows of one width, with blank lines
+    and rows carrying one or more faults: repeated or decreasing timestamps,
+    bad status or pressure, non-integer or unusual integer fields, ragged
+    column counts."""
+    width = draw(st.sampled_from([4, 7]))
+    t = draw(st.integers(-50, 50))
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "faulty"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "  "])))
+            continue
+        faults = draw(st.sets(st.sampled_from(_FAULTS), min_size=1, max_size=3)) \
+            if kind == "faulty" else set()
+        if "back" in faults:
+            t -= draw(st.integers(1, 5))
+        elif "dup" not in faults:
+            t += draw(st.integers(1, 9))
+        fields = [str(draw(st.integers(-300, 300))), str(draw(st.integers(-300, 300))),
+                  str(t), str(draw(st.integers(0, 1)))]
+        if width == 7:
+            fields += [str(draw(st.integers(0, 359))), str(draw(st.integers(0, 90))),
+                       str(draw(st.integers(0, 1023)))]
+        if "status" in faults:
+            fields[3] = str(draw(st.sampled_from([-1, 2, 10])))
+        if "pressure" in faults and width == 7:
+            fields[6] = str(-draw(st.integers(1, 50)))
+        for fault, tokens in (("token", _BAD_TOKENS), ("odd", _ODD_INTS)):
+            if fault in faults:
+                fields[draw(st.integers(0, len(fields) - 1))] = draw(tokens)
+        if "ragged" in faults:
+            if draw(st.booleans()):
+                del fields[draw(st.integers(0, len(fields) - 1))]
+            else:
+                fields.append("1")
+        fields = [f for f in fields if f]  # an empty token just shortens the row
+        line = ""
+        for f in fields:
+            line += draw(_SEPARATORS) + f if line else f
+        lines.append(line)
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    text = newline.join(lines)
+    if draw(st.booleans()):
+        text += newline
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=recording_texts(),
+    block_chars=st.integers(1, 200),
+    derive=st.booleans(),
+)
+def test_parse_matches_row_by_row_reference(text, block_chars, derive):
+    # small blocks exercise block boundaries and the bisection of bad blocks
+    opts = ParseOptions(derive_status_from_pressure=derive)
+    want = _outcome(reference_parse, text, opts)
+    with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+        got = _outcome(parse_session, text, opts)
+    if got[0] == "ok":
+        stream = got[1]
+        got = ("ok", (tuple(stream.samples), stream.warnings))
+    assert got == want
+
+
+def test_parse_matches_reference_across_default_blocks():
+    # a text of several default-size blocks, with a duplicate and a bad row past the first
+    rows = [f"{i % 97} {i % 89} {3 * i} {i % 2} 10 20 {i % 500}" for i in range(6000)]
+    rows[2500] = rows[2499]
+    text = "\n".join(rows) + "\n"
+    assert _outcome(parse_session, text)[1].warnings == reference_parse(text)[1]
+    assert tuple(parse_session(text).samples) == reference_parse(text)[0]
+    rows[4400] = "1 2 3 1 0 0 -4"
+    bad = "\n".join(rows)
+    assert _outcome(parse_session, bad) == _outcome(reference_parse, bad)
+
+
+columns = st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-10**20, 10**20), min_size=n, max_size=n),
+    st.lists(st.integers(-5000, 5000), min_size=n, max_size=n),
+    st.lists(st.integers(1, 10**6), min_size=n, max_size=n, unique=True).map(sorted),
+    st.lists(st.integers(0, 1), min_size=n, max_size=n),
+    st.lists(st.integers(-360, 360), min_size=n, max_size=n),
+    st.lists(st.integers(0, 90), min_size=n, max_size=n),
+    st.lists(st.integers(0, 10**12), min_size=n, max_size=n),
+))
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns)
+def test_serialize_parse_identity(cols):
+    stream = SampleStream.from_columns(*cols)
+    text = serialize_session(stream)
+    again = parse_session(text)
+    assert again == stream
+    assert serialize_session(again) == text
+    assert SampleStream(stream.samples) == stream

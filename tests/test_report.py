@@ -131,7 +131,6 @@ def test_run_config_validation():
         RunConfig(exact_limit=1)
     with pytest.raises(ValueError):
         RunConfig(table_format="yaml")
-    assert RunConfig.SIGNIFICANCE == Fraction(1, 20)
 
 
 def stream_from(times, statuses):

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from penair import (
     InsufficientDataError,
     PenStatus,
+    RunConfig,
     Sample,
     SampleStream,
     SegmentationConfig,
@@ -204,3 +206,15 @@ def test_raising_gap_factor_never_adds_gaps():
         tight = len(detect_gaps(stream, SegmentationConfig(gap_factor=2.0)))
         loose = len(detect_gaps(stream, SegmentationConfig(gap_factor=5.0)))
         assert loose <= tight
+
+
+def test_gap_factor_boundary_is_exact():
+    # in binary floating point 4.35 * 100 is 434.99999999999994
+    cfg = SegmentationConfig(gap_factor=4.35)
+    assert cfg.gap_factor == Fraction(87, 20)
+    assert cfg.gap_threshold(100) == 435
+    stream = stream_from_diffs([100] * 5 + [435] + [100] * 5 + [436] + [100] * 5)
+    assert [g.end_t - g.start_t for g in detect_gaps(stream, cfg)] == [436]
+    assert segment(stream, cfg).class_counts[StrokeClass.IN_AIR_LONG] == 1
+    assert RunConfig(gap_factor=4.35).gap_factor == Fraction(87, 20)
+    assert RunConfig(gap_factor=4.35).segmentation_config() == cfg

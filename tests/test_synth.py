@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -289,3 +290,12 @@ def test_corpus_spec_needs_cohorts():
         CorpusSpec(nominal_period=2, jitter=0, cohorts={})
     with pytest.raises(SynthSpecError):
         CohortSpec(0, small_corpus_spec().cohorts["control"].plan)
+
+
+def test_corpus_spec_gap_factor_is_exact():
+    text = "[corpus]\nperiod = 100\ngap_factor = 4.35\n"
+    assert load_corpus_spec(text + "\n[cohort c]\nfiles = 1\nsurface_strokes = 1\n"
+                            "surface_ticks = 500\nair_ticks = 200\ngaps = 0\n"
+                            "gap_ticks = 500\n").gap_factor == Fraction(87, 20)
+    with pytest.raises(SynthSpecError):
+        load_corpus_spec(text.replace("4.35", "1/0"))
