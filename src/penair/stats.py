@@ -1,11 +1,15 @@
 """Rank statistics for comparing feature distributions between two cohorts.
 
-Mann-Whitney U with midranks for ties. Two routes to a two-sided p-value:
+Mann-Whitney U with midranks for ties, kept as integer doubled midranks so
+U_A is exact. Two routes to a two-sided p-value:
 
 * exact_p: the probability, over all C(n_a + n_b, n_a) assignments of the
   pooled values to the two groups, of a U at least as far from the null mean
-  n_a * n_b / 2 as observed. Computed as an exact rational by counting
-  assignments per tie group rather than iterating them one by one.
+  n_a * n_b / 2 as observed, as an exact rational. The null distribution
+  comes from the shift algorithm of Streitberg & Roehmel (1986) on Python
+  integers: one integer per subset size packs the counts per doubled rank
+  sum into fixed-width slots, and taking j values of a tie group shifts it
+  by j times the group's doubled midrank.
 * approx_p: normal approximation with continuity correction 0.5 and the
   tie-corrected variance n_a*n_b/12 * ((N+1) - sum(t^3 - t) / (N * (N-1))).
 """
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import groupby
 from math import comb
 from typing import Sequence
 
@@ -53,87 +57,83 @@ class RankTestResult:
     significant: bool
 
 
+def _doubled_ranks(values: Sequence) -> tuple[list[int], tuple[int, ...]]:
+    """Twice the midrank of every value, in input order, and the tie-group
+    sizes in ascending value order (untied values are groups of size 1). A
+    group of t values after ``offset`` smaller ones has doubled midrank
+    2*offset + t + 1."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks2 = [0] * len(values)
+    sizes = []
+    offset = 0
+    for _, group in groupby(order, key=values.__getitem__):
+        members = list(group)
+        for i in members:
+            ranks2[i] = 2 * offset + len(members) + 1
+        sizes.append(len(members))
+        offset += len(members)
+    return ranks2, tuple(sizes)
+
+
 def midranks(values: Sequence) -> list[float]:
     """Ranks with tied values sharing the mean of their rank positions.
 
     midranks([5, 1, 3]) == [3.0, 1.0, 2.0]; midranks([2, 2]) == [1.5, 1.5].
     """
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        rank = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = rank
-        i = j + 1
-    return ranks
+    return [r2 / 2 for r2 in _doubled_ranks(values)[0]]
+
+
+def _doubled_u(a: Sequence, b: Sequence) -> tuple[int, tuple[int, ...]]:
+    """2*U_A = 2*R_A - n_a(n_a+1), exact, and the pooled tie profile."""
+    n_a = len(a)
+    if n_a < 1 or len(b) < 1:
+        raise ValueError("both groups need at least one value")
+    ranks2, sizes = _doubled_ranks(list(a) + list(b))
+    return sum(ranks2[:n_a]) - n_a * (n_a + 1), sizes
 
 
 def mann_whitney_u(a: Sequence, b: Sequence) -> UStat:
     """U for both groups via the rank-sum formula U_A = R_A - n_a(n_a+1)/2."""
+    u2, sizes = _doubled_u(a, b)
     n_a, n_b = len(a), len(b)
-    if n_a < 1 or n_b < 1:
-        raise ValueError("both groups need at least one value")
-    pooled = list(a) + list(b)
-    ranks = midranks(pooled)
-    r_a = sum(ranks[:n_a])
-    u_a = r_a - n_a * (n_a + 1) / 2
-    return UStat(
-        u_a=u_a,
-        u_b=n_a * n_b - u_a,
-        n_a=n_a,
-        n_b=n_b,
-        tie_profile=_tie_profile(sorted(pooled)),
-    )
+    u_a = u2 / 2
+    return UStat(u_a=u_a, u_b=n_a * n_b - u_a, n_a=n_a, n_b=n_b, tie_profile=sizes)
 
 
-def _tie_profile(pooled_sorted: list) -> tuple[int, ...]:
-    sizes = []
-    i = 0
-    while i < len(pooled_sorted):
-        j = i
-        while j + 1 < len(pooled_sorted) and pooled_sorted[j + 1] == pooled_sorted[i]:
-            j += 1
-        sizes.append(j - i + 1)
-        i = j + 1
-    return tuple(sizes)
+def _doubled_u_counts(sizes: tuple[int, ...], n_a: int) -> tuple[int, int]:
+    """Null distribution of 2*U_A over all n_a-subsets of a pooled multiset,
+    packed into one integer.
 
+    Only the tie-group sizes matter. Taking j values of a group of size t
+    with doubled midrank m2 adds j*m2 to the doubled rank sum in C(t, j)
+    ways. Slot s of ``dp[k]``, ``slot`` bits wide, counts the k-subsets of the
+    groups so far with doubled rank sum s, so adding j*m2 is a shift by j*m2
+    slots. Per group, k runs from high to low so that dp[k - j] still lacks
+    the group: dp[k] += (dp[k - j] * C(t, j)) << (slot * j * m2) for j = 1..t.
 
-@lru_cache(maxsize=None)
-def _doubled_u_counts(sizes: tuple[int, ...], n_a: int) -> tuple[tuple[int, int], ...]:
-    """Null distribution of 2*U_A over all n_a-subsets of a pooled multiset.
-
-    Only the tie-group sizes matter: group g (size t_g) occupies the next t_g
-    sorted positions, so its doubled midrank is 2*offset + t_g + 1. Choosing
-    j_g values from group g contributes j_g * that midrank to the doubled rank
-    sum, with multiplicity C(t_g, j_g). Doubling keeps everything integral.
-    Returns (doubled U, count) pairs; counts sum to C(sum(sizes), n_a).
+    ``dp[k]`` is the counting polynomial evaluated at 2**slot, which shifting,
+    multiplying and adding keep exact, so a count that outgrows its slot on the
+    way (dp[k] for k near n/2 reaches C(n, k) > C(n, n_a) when n_a > n/2)
+    spills into the next slot without changing the final integer. Only the
+    final counts, and sums of them, must fit a slot: they are at most
+    C(n, n_a) <= C(n, n // 2), whose bit length is the slot width. Returns
+    (packed, slot): slot u2 of ``packed`` counts the subsets with doubled
+    U_A = u2, for u2 from 0 to 2*n_a*n_b; the counts sum to C(n, n_a).
     """
-    # dp[k] maps doubled rank sum -> number of ways to pick k values so far
-    dp: list[dict[int, int]] = [{} for _ in range(n_a + 1)]
-    dp[0][0] = 1
+    n = sum(sizes)
+    slot = comb(n, n // 2).bit_length()
+    dp = [1] + [0] * n_a
     offset = 0
     for size in sizes:
         m2 = 2 * offset + size + 1
-        ndp: list[dict[int, int]] = [{} for _ in range(n_a + 1)]
-        for k, row in enumerate(dp):
-            if not row:
-                continue
-            top = min(size, n_a - k)
-            for j in range(top + 1):
-                weight = comb(size, j)
-                shift = j * m2
-                target = ndp[k + j]
-                for s2, ways in row.items():
-                    key = s2 + shift
-                    target[key] = target.get(key, 0) + ways * weight
-        dp = ndp
         offset += size
-    base = n_a * (n_a + 1)
-    return tuple(sorted((s2 - base, ways) for s2, ways in dp[n_a].items()))
+        for k in range(min(n_a, offset), 0, -1):
+            acc = dp[k]
+            for j in range(1, min(size, k) + 1):
+                acc += (dp[k - j] * comb(size, j)) << (slot * j * m2)
+            dp[k] = acc
+    # 2*U_A = doubled rank sum - n_a(n_a+1)
+    return dp[n_a] >> (slot * n_a * (n_a + 1)), slot
 
 
 def exact_p(a: Sequence, b: Sequence, exact_limit: int = DEFAULT_EXACT_LIMIT) -> Fraction:
@@ -143,30 +143,27 @@ def exact_p(a: Sequence, b: Sequence, exact_limit: int = DEFAULT_EXACT_LIMIT) ->
     in the pooled multiset. Raises ExactSizeError when n_a + n_b exceeds
     ``exact_limit``.
     """
+    u2, sizes = _doubled_u(a, b)
     n_a, n_b = len(a), len(b)
-    if n_a < 1 or n_b < 1:
-        raise ValueError("both groups need at least one value")
     n = n_a + n_b
     if n > exact_limit:
         raise ExactSizeError(f"pooled size {n} exceeds exact limit {exact_limit}")
-    pooled = sorted(list(a) + list(b))
-    # doubled midrank per distinct value, in value order
-    value_m2: dict = {}
-    sizes = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and pooled[j + 1] == pooled[i]:
-            j += 1
-        value_m2[pooled[i]] = i + j + 2  # (i+1) + (j+1), 1-based positions
-        sizes.append(j - i + 1)
-        i = j + 1
-    r2_obs = sum(value_m2[v] for v in a)
-    u2_obs = r2_obs - n_a * (n_a + 1)
-    deviation = abs(u2_obs - n_a * n_b)  # doubled |U_A - mu|
-    counts = _doubled_u_counts(tuple(sizes), n_a)
-    extreme = sum(ways for u2, ways in counts if abs(u2 - n_a * n_b) >= deviation)
-    return Fraction(extreme, comb(n, n_a))
+    center = n_a * n_b  # doubled null mean
+    deviation = abs(u2 - center)
+    if deviation == 0:  # every assignment counts; the tails below would overlap
+        return Fraction(1)
+    packed, slot = _doubled_u_counts(sizes, n_a)
+    # Lay the upper tail (slots center + deviation .. 2*center) onto the lower
+    # one (slots 0 .. center - deviation), then fold the upper half of the
+    # slots onto the lower half until one is left. No slot carries: the sum
+    # of all of them is at most C(n, n_a), which fits one slot.
+    span = center - deviation + 1
+    tails = (packed & ((1 << slot * span) - 1)) + (packed >> slot * (center + deviation))
+    while span > 1:
+        half = (span + 1) // 2
+        tails = (tails & ((1 << slot * half) - 1)) + (tails >> slot * half)
+        span = half
+    return Fraction(tails, comb(n, n_a))
 
 
 def approx_p(u: UStat) -> float:

@@ -246,6 +246,30 @@ def test_compare_unknown_cohort_exits_three(tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+def test_compare_task_with_empty_side_aborts_run(tmp_path, capsys):
+    # every patient file of task "spiral" is anomalous (a 194-tick gap in the
+    # air); the other tasks are fine
+    write_session(tmp_path, "ok.svc",
+                  "0 0 0 1\n1 1 2 1\n2 2 4 1\n3 3 6 0\n4 4 8 0\n5 5 10 1\n")
+    write_session(tmp_path, "bad.svc",
+                  "0 0 0 1\n1 1 2 1\n2 2 4 0\n3 3 6 0\n4 4 200 0\n5 5 202 1\n")
+    rows = ["path,database,task,subject,cohort"]
+    for task in ("copy", "spiral", "words"):
+        rows.append(f"ok.svc,db,{task},s1,control")
+        rows.append(f"{'bad' if task == 'spiral' else 'ok'}.svc,db,{task},s2,patient")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert main(["features", str(manifest)]) == 0
+    flags = [line.split(",")[-1] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert flags == ["false"] * 3 + ["true"] + ["false"] * 2
+    assert main(["compare", str(manifest), "--cohort-a", "control",
+                 "--cohort-b", "patient"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'spiral'" in captured.err
+    assert "anomaly exclusion" in captured.err
+
+
 def test_compare_database_filter(tmp_path, capsys):
     manifest = make_corpus(tmp_path)
     capsys.readouterr()
