@@ -3,15 +3,20 @@
 Subcommands: parse, segment, features, aggregate, compare, synth, render.
 Data goes to stdout (or --out PATH); diagnostics go to stderr. Exit codes:
 0 success, 1 usage error, 2 parse/format error, 3 empty-cohort or
-degenerate-data error.
+degenerate-data error. Manifest commands read their files in one forked
+process per usable CPU; output and warnings keep manifest order.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import (
     DegenerateDataError,
@@ -26,7 +31,7 @@ from .errors import (
 from .features import Feature, aggregate_cohort, feature_vector
 from .ingest import (
     ParseOptions,
-    SampleStream,
+    ParseWarning,
     read_manifest,
     read_session,
     validate_stream,
@@ -135,8 +140,8 @@ def _parse_options(args) -> ParseOptions:
     return ParseOptions(derive_status_from_pressure=args.derive_status_from_pressure)
 
 
-def _print_warnings(stream: SampleStream, shown_path: str) -> None:
-    for w in stream.warnings:
+def _print_warnings(warnings: tuple[ParseWarning, ...], shown_path: str) -> None:
+    for w in warnings:
         sys.stderr.write(f"WARN {shown_path}:{w.line} {w.message}\n")
 
 
@@ -149,7 +154,7 @@ def _emit(text: str, args) -> None:
 
 def _cmd_parse(args, cfg: RunConfig) -> int:
     stream = read_session(args.file, _parse_options(args))
-    _print_warnings(stream, args.file)
+    _print_warnings(stream.warnings, args.file)
     report = validate_stream(stream)
     header = ("source", "n_samples", "t_first", "t_last", "span",
               "status_transitions", "pressure_min", "pressure_max", "warnings")
@@ -162,7 +167,7 @@ def _cmd_parse(args, cfg: RunConfig) -> int:
 
 def _cmd_segment(args, cfg: RunConfig) -> int:
     stream = read_session(args.file, _parse_options(args))
-    _print_warnings(stream, args.file)
+    _print_warnings(stream.warnings, args.file)
     seg = segment(stream, cfg.segmentation_config())
     header = ("class", "start_t", "end_t", "duration", "n_samples")
     rows = [
@@ -173,16 +178,91 @@ def _cmd_segment(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has
+    one (so ``taskset`` narrows it), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _reduce_files(records, opts: ParseOptions, seg_cfg, policy) -> list:
+    """read_session -> segment -> feature_vector for each record, in order.
+
+    Returns ``(warnings, vector)`` per record. At the first PenAirError or
+    OSError it stops and returns that exception as the last entry.
+    """
+    results = []
+    for record in records:
+        try:
+            stream = read_session(record.path, opts)
+            vector = feature_vector(segment(stream, seg_cfg), policy, record)
+        except (PenAirError, OSError) as exc:
+            results.append(exc)
+            break
+        results.append((stream.warnings, vector))
+    return results
+
+
+def _fan_out(records, workers: int, context) -> list:
+    """``_reduce_files`` on ``records[w::workers]`` in one forked child per
+    share, merged back into manifest order. Entries after a share's
+    exception stay None; the caller stops at that exception first."""
+    # raw fork, not a multiprocessing pool: the CLI runs no threads, and a
+    # pool's import and start-up ate most of the saving when measured
+    children = []
+    for w in range(workers):
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(read_fd)
+            _run_child(records[w::workers], context, write_fd)
+        os.close(write_fd)
+        children.append((pid, read_fd))
+    payloads = []
+    for pid, read_fd in children:  # read and reap every child before judging any
+        with open(read_fd, "rb") as pipe:
+            data = pipe.read()
+        payloads.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data))
+    merged = [None] * len(records)
+    for w, (status, data) in enumerate(payloads):
+        if status != 0:
+            raise ChildProcessError(
+                f"worker process exited with status {status} before sending its results")
+        for j, result in enumerate(pickle.loads(data)):
+            merged[w + j * workers] = result
+    return merged
+
+
+def _run_child(share, context, write_fd: int) -> NoReturn:
+    # never returns into the CLI and never writes to stdout or stderr: a
+    # child that got back to main would print the table a second time
+    status = 1
+    try:
+        try:
+            results = _reduce_files(share, *context)
+        except Exception:  # a bug: the parent raises it with this traceback
+            results = [RuntimeError(f"worker process failed:\n{traceback.format_exc()}")]
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(results, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def _collect_vectors(manifest_path: str, args, cfg: RunConfig):
-    manifest = read_manifest(manifest_path)
-    seg_cfg = cfg.segmentation_config()
-    policy = cfg.anomaly_policy()
-    opts = _parse_options(args)
+    records = read_manifest(manifest_path).records
+    context = (_parse_options(args), cfg.segmentation_config(), cfg.anomaly_policy())
+    workers = min(len(records), _usable_cpus()) if hasattr(os, "fork") else 1
+    results = (_fan_out(records, workers, context) if workers > 1
+               else _reduce_files(records, *context))
     vectors = []
-    for record in manifest:
-        stream = read_session(record.path, opts)
-        _print_warnings(stream, str(record.path))
-        vectors.append(feature_vector(segment(stream, seg_cfg), policy, record))
+    for record, result in zip(records, results):
+        if isinstance(result, Exception):
+            raise result
+        warnings, vector = result
+        _print_warnings(warnings, str(record.path))
+        vectors.append(vector)
     return vectors
 
 
@@ -270,7 +350,7 @@ def _cmd_synth(args, cfg: RunConfig) -> int:
 
 def _cmd_render(args, cfg: RunConfig) -> int:
     stream = read_session(args.file, _parse_options(args))
-    _print_warnings(stream, args.file)
+    _print_warnings(stream.warnings, args.file)
     seg = segment(stream, cfg.segmentation_config())
     _emit(render_trajectories(stream, seg), args)
     return EXIT_OK

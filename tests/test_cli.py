@@ -1,7 +1,14 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
+import pytest
+
+from penair import cli
 from penair.cli import main
 
 CORPUS_INI = """
@@ -268,6 +275,93 @@ def test_compare_task_with_empty_side_aborts_run(tmp_path, capsys):
     assert captured.out == ""
     assert "'spiral'" in captured.err
     assert "anomaly exclusion" in captured.err
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_manifest_errors_and_warnings_follow_manifest_order(tmp_path, capsys, monkeypatch,
+                                                            workers):
+    # file 0 warns, file 1 is good, file 2 is malformed on line 3, file 3 is
+    # missing: file 0's warning, then file 2's error, and nothing of file 3
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers, raising=False)
+    warn = write_session(tmp_path, "warn.svc", "0 0 0 1\n1 1 2 1\n2 2 2 1\n3 3 4 1\n")
+    write_session(tmp_path, "good.svc")
+    write_session(tmp_path, "bad.svc", "0 0 0 1\n1 1 2 1\n2 2 x 1\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,database,task,subject,cohort\n"
+                        "warn.svc,db,copy,s0,control\n"
+                        "good.svc,db,copy,s1,patient\n"
+                        "bad.svc,db,copy,s2,control\n"
+                        "missing.svc,db,copy,s3,patient\n", encoding="utf-8")
+    for argv in (["features", str(manifest)],
+                 ["compare", str(manifest), "--cohort-a", "control", "--cohort-b", "patient"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"WARN {warn}:3 duplicate timestamp 2 dropped\n"
+                                "error: line 3: non-integer field in '2 2 x 1'\n")
+
+
+def corpus_with_warnings(tmp_path):
+    # a duplicated row in three of the eight files, so each warns once
+    manifest = make_corpus(tmp_path)
+    records = list(csv.DictReader(io.StringIO(manifest.read_text(encoding="utf-8"))))
+    for k in (1, 4, 6):
+        path = manifest.parent / records[k]["path"]
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:5] + lines[4:]), encoding="utf-8")
+    return manifest
+
+
+def test_manifest_commands_same_bytes_for_any_worker_count(tmp_path, capsys, monkeypatch):
+    manifest = corpus_with_warnings(tmp_path)
+    capsys.readouterr()
+    for argv in (["features", str(manifest)], ["aggregate", str(manifest)],
+                 ["compare", str(manifest), "--cohort-a", "control", "--cohort-b", "patient"]):
+        outputs = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+            assert main(argv) == 0
+            outputs.add(capsys.readouterr())
+        assert len(outputs) == 1
+        (captured,) = outputs
+        assert captured.out and captured.err.count("WARN ") == 3
+
+
+def run_cli_in_fresh_interpreter(prelude, argv):
+    # a forked child that got back into the CLI would write to the real
+    # stdout, which only a separate process shows
+    code = (f"import os, sys\nfrom penair import cli\nparent = os.getpid()\n{prelude}\n"
+            f"cli._usable_cpus = lambda: 2\nsys.exit(cli.main({argv!r}))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_worker_that_dies_without_result_fails_the_run(tmp_path):
+    manifest = make_corpus(tmp_path)
+    prelude = ("real = cli._reduce_files\n"
+               "def dying(*args):\n"
+               "    if os.getpid() != parent:\n"
+               "        os._exit(7)\n"
+               "    return real(*args)\n"
+               "cli._reduce_files = dying")
+    done = run_cli_in_fresh_interpreter(prelude, ["features", str(manifest)])
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: worker process exited with status 7 before sending its results\n"
+
+
+def test_worker_bug_reaches_parent_and_no_table_is_printed(tmp_path):
+    manifest = make_corpus(tmp_path)
+    prelude = ("def buggy(*args):\n"
+               "    where = 'child' if os.getpid() != parent else 'parent'\n"
+               "    raise ZeroDivisionError('boom in ' + where)\n"
+               "cli._reduce_files = buggy")
+    done = run_cli_in_fresh_interpreter(prelude, ["features", str(manifest)])
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "ZeroDivisionError: boom in child" in done.stderr
+    assert "worker process failed" in done.stderr
 
 
 def test_compare_database_filter(tmp_path, capsys):
