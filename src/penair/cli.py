@@ -258,6 +258,8 @@ def _collect_vectors(manifest_path: str, args, cfg: RunConfig):
                else _reduce_files(records, *context))
     vectors = []
     for record, result in zip(records, results):
+        if isinstance(result, ParseError):  # name the file, as WARN lines do
+            raise ParseError(f"{record.path}: {result}") from result
         if isinstance(result, Exception):
             raise result
         warnings, vector = result

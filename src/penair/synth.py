@@ -9,8 +9,10 @@ detection ambiguous, and double-checks the emitted stream against the
 intended gap threshold, so the returned ground truth is what segmentation
 must recover.
 
-Seeding is stable across platforms: corpus generation derives one 64-bit seed
-per role from sha256 of "{master_seed}:{label}".
+Corpus generation derives one 64-bit seed per role from sha256 of
+"{master_seed}:{label}". Per-sample draws call getrandbits with randint's own
+rejection rule, so corpora are byte-identical to earlier releases and do not
+depend on how randint is implemented.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import csv
 import hashlib
 import random
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -69,8 +71,6 @@ class SynthSpec:
             raise SynthSpecError(f"gap_factor must be > 1, got {gf}")
         if j < 0 or p - j < 1:
             raise SynthSpecError(f"jitter must be in [0, period), got {j}")
-        if not j < (gf - 1) * p:
-            raise SynthSpecError(f"jitter {j} too large for gap_factor {gf}")
         if p + j > gf * (p - j):
             raise SynthSpecError(
                 f"jitter {j} could blur gap detection: need "
@@ -105,34 +105,6 @@ class GroundTruth:
     class_counts: dict[StrokeClass, int]
 
 
-class _PenWalk:
-    """Smooth pseudo-random pen trajectory with plausible auxiliary channels."""
-
-    def __init__(self, rng: random.Random):
-        self.rng = rng
-        self.x = rng.randrange(2000, 6000)
-        self.y = rng.randrange(2000, 6000)
-        self.vx = rng.randint(-4, 4)
-        self.vy = rng.randint(-4, 4)
-        self.azimuth = rng.randrange(0, 360)
-        self.altitude = rng.randint(30, 80)
-        self.pressure = rng.randint(300, 700)
-
-    def sample(self, t: int, cls: StrokeClass) -> tuple[int, ...]:
-        """One row in column order: x y t status azimuth altitude pressure."""
-        rng = self.rng
-        self.vx = max(-12, min(12, self.vx + rng.randint(-2, 2)))
-        self.vy = max(-12, min(12, self.vy + rng.randint(-2, 2)))
-        self.x += self.vx
-        self.y += self.vy
-        self.azimuth = (self.azimuth + rng.randint(-3, 3)) % 360
-        self.altitude = max(15, min(85, self.altitude + rng.randint(-1, 1)))
-        if cls is StrokeClass.ON_SURFACE:
-            self.pressure = max(150, min(1000, self.pressure + rng.randint(-25, 25)))
-            return (self.x, self.y, t, 1, self.azimuth, self.altitude, self.pressure)
-        return (self.x, self.y, t, 0, self.azimuth, self.altitude, 0)
-
-
 def generate_session(spec: SynthSpec) -> tuple[SampleStream, GroundTruth]:
     """Emit one session and its realized ground truth.
 
@@ -145,35 +117,75 @@ def generate_session(spec: SynthSpec) -> tuple[SampleStream, GroundTruth]:
     not the plan).
     """
     rng = random.Random(spec.seed)
-    walk = _PenWalk(rng)
-    period, jitter = spec.nominal_period, spec.jitter
+    x, y = rng.randrange(2000, 6000), rng.randrange(2000, 6000)
+    vx, vy = rng.randint(-4, 4), rng.randint(-4, 4)
+    azimuth = rng.randrange(0, 360)
+    altitude = rng.randint(30, 80)
+    pressure = rng.randint(300, 700)
+    # Per-sample draws run randint(lo, hi)'s own algorithm on getrandbits:
+    # with n = hi - lo + 1, draw r = getrandbits(n.bit_length()) while r >= n,
+    # then return lo + r. Same draws, same words consumed, same corpora.
+    bits = rng.getrandbits
+    step_lo = spec.nominal_period - spec.jitter
+    n_step = 2 * spec.jitter + 1
+    k_step = n_step.bit_length()
     plan = spec.stroke_plan
-    rows: list[tuple[int, ...]] = []
+    last = len(plan) - 1
+    columns: tuple[list[int], ...] = ([], [], [], [], [], [], [])
+    xs, ys, ts, statuses, azimuths, altitudes, pressures = columns
     gt: list[tuple[StrokeClass, int, int]] = []
-    t = 0
+    seg_end = 0
     for i, (cls, dur) in enumerate(plan):
-        seg_start, seg_end = t, t + dur
+        seg_start, seg_end = seg_end, seg_end + dur
         if cls is StrokeClass.IN_AIR_LONG:
-            # validated: never first, so rows[-1] exists
-            gt.append((cls, rows[-1][2], seg_end))
-            t = seg_end
+            # validated: never first, so ts[-1] exists
+            gt.append((cls, ts[-1], seg_end))
             continue
+        status = 1 if cls is StrokeClass.ON_SURFACE else 0
         emit_t = seg_start
         while True:
-            rows.append(walk.sample(emit_t, cls))
-            step = period + rng.randint(-jitter, jitter)
-            if emit_t + step >= seg_end:
+            while (r := bits(3)) >= 5:  # randint(-2, 2)
+                pass
+            vx += r - 2
+            vx = 12 if vx > 12 else -12 if vx < -12 else vx
+            while (r := bits(3)) >= 5:  # randint(-2, 2)
+                pass
+            vy += r - 2
+            vy = 12 if vy > 12 else -12 if vy < -12 else vy
+            x += vx
+            y += vy
+            while (r := bits(3)) >= 7:  # randint(-3, 3)
+                pass
+            azimuth = (azimuth + r - 3) % 360
+            while (r := bits(2)) >= 3:  # randint(-1, 1)
+                pass
+            altitude += r - 1
+            altitude = 85 if altitude > 85 else 15 if altitude < 15 else altitude
+            if status:
+                while (r := bits(6)) >= 51:  # randint(-25, 25)
+                    pass
+                pressure += r - 25
+                pressure = 1000 if pressure > 1000 else 150 if pressure < 150 else pressure
+            xs.append(x)
+            ys.append(y)
+            ts.append(emit_t)
+            statuses.append(status)
+            azimuths.append(azimuth)
+            altitudes.append(altitude)
+            pressures.append(pressure if status else 0)
+            if emit_t == seg_end:  # the closing sample of the last entry
                 break
-            emit_t += step
-        if i + 1 == len(plan):
-            rows.append(walk.sample(seg_end, cls))  # closing sample
-            gt.append((cls, seg_start, seg_end))
-        elif plan[i + 1][0] is StrokeClass.IN_AIR_LONG:
-            gt.append((cls, seg_start, rows[-1][2]))
-        else:
-            gt.append((cls, seg_start, seg_end))
-        t = seg_end
-    stream = SampleStream.from_columns(*zip(*rows), source_id=f"synth:{spec.seed}")
+            while (r := bits(k_step)) >= n_step:  # randint(-jitter, jitter)
+                pass
+            emit_t += step_lo + r
+            if emit_t >= seg_end:
+                if i < last:
+                    break
+                emit_t = seg_end
+        # a stroke before a gap ends at its last sample, any other at its entry's end
+        before_gap = i < last and plan[i + 1][0] is StrokeClass.IN_AIR_LONG
+        gt.append((cls, seg_start, ts[-1] if before_gap else seg_end))
+    stream = SampleStream.from_columns(*columns, source_id=f"synth:{spec.seed}")
     _verify_unambiguous(stream, spec, gt)
     times = {c: 0 for c in StrokeClass}
     counts = {c: 0 for c in StrokeClass}
@@ -316,13 +328,9 @@ def generate_corpus(
 
 
 def _parse_range(raw: str, context: str) -> IntRange:
-    text = raw.strip()
+    lo, sep, hi = raw.strip().partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return IntRange(int(lo), int(hi))
-        value = int(text)
-        return IntRange(value, value)
+        return IntRange(int(lo), int(hi if sep else lo))
     except ValueError:
         raise SynthSpecError(f"{context}: bad range {raw!r} (want N or LO..HI)") from None
 
@@ -380,20 +388,12 @@ def load_corpus_spec(text: str) -> CorpusSpec:
             raise SynthSpecError(f"[{section}]: {exc}") from None
         if n_files is None:
             raise SynthSpecError(f"[{section}] must set files")
-        required = ("surface_strokes", "surface_ticks", "air_ticks", "gaps", "gap_ticks")
-        missing = [key for key in required if key not in sec]
+        keys = [f.name for f in fields(PlanDistribution)]
+        missing = [key for key in keys if key not in sec]
         if missing:
             raise SynthSpecError(f"[{section}] missing {', '.join(missing)}")
-        cohorts[name] = CohortSpec(
-            n_files=n_files,
-            plan=PlanDistribution(
-                surface_strokes=_parse_range(sec["surface_strokes"], section),
-                surface_ticks=_parse_range(sec["surface_ticks"], section),
-                air_ticks=_parse_range(sec["air_ticks"], section),
-                gaps=_parse_range(sec["gaps"], section),
-                gap_ticks=_parse_range(sec["gap_ticks"], section),
-            ),
-        )
+        plan = PlanDistribution(**{key: _parse_range(sec[key], section) for key in keys})
+        cohorts[name] = CohortSpec(n_files, plan)
     return CorpusSpec(
         nominal_period=period,
         jitter=jitter,

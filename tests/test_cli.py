@@ -285,20 +285,23 @@ def test_manifest_errors_and_warnings_follow_manifest_order(tmp_path, capsys, mo
     monkeypatch.setattr(cli, "_usable_cpus", lambda: workers, raising=False)
     warn = write_session(tmp_path, "warn.svc", "0 0 0 1\n1 1 2 1\n2 2 2 1\n3 3 4 1\n")
     write_session(tmp_path, "good.svc")
-    write_session(tmp_path, "bad.svc", "0 0 0 1\n1 1 2 1\n2 2 x 1\n")
+    bad = write_session(tmp_path, "bad.svc", "0 0 0 1\n1 1 2 1\n2 2 x 1\n")
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("path,database,task,subject,cohort\n"
                         "warn.svc,db,copy,s0,control\n"
                         "good.svc,db,copy,s1,patient\n"
                         "bad.svc,db,copy,s2,control\n"
                         "missing.svc,db,copy,s3,patient\n", encoding="utf-8")
-    for argv in (["features", str(manifest)],
+    for argv in (["features", str(manifest)], ["aggregate", str(manifest)],
                  ["compare", str(manifest), "--cohort-a", "control", "--cohort-b", "patient"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"WARN {warn}:3 duplicate timestamp 2 dropped\n"
-                                "error: line 3: non-integer field in '2 2 x 1'\n")
+                                f"error: {bad}: line 3: non-integer field in '2 2 x 1'\n")
+    # a single-file command names no path: the user gave only one
+    assert main(["parse", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: line 3: non-integer field in '2 2 x 1'\n"
 
 
 def corpus_with_warnings(tmp_path):
