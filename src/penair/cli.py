@@ -10,6 +10,7 @@ process per usable CPU; output and warnings keep manifest order.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import pickle
 import sys
@@ -258,7 +259,8 @@ def _collect_vectors(manifest_path: str, args, cfg: RunConfig):
                else _reduce_files(records, *context))
     vectors = []
     for record, result in zip(records, results):
-        if isinstance(result, ParseError):  # name the file, as WARN lines do
+        if isinstance(result, ParseError) and result.line is not None:
+            # a row error names its line, not its file: add it, as WARN lines do
             raise ParseError(f"{record.path}: {result}") from result
         if isinstance(result, Exception):
             raise result
@@ -369,6 +371,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    # penair's data holds no reference cycles, so the cyclic collector would
+    # only walk the parsed columns and strokes again and again: a command runs
+    # with it paused (forked workers inherit that); library calls leave it alone
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args, cfg)
     except (ParseError, ManifestError, EmptyInputError, SynthSpecError) as exc:
@@ -383,6 +390,9 @@ def main(argv=None) -> int:
     except PenAirError as exc:  # anything else from the library is a data problem
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FORMAT
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -9,10 +9,14 @@ device units; timestamps are unit-agnostic ticks.
 
 Manifest format: CSV with the exact header ``path,database,task,subject,cohort``.
 Relative paths are resolved against the manifest's own directory.
+
+Bytes that are not UTF-8 are a ParseError in a sample file and a
+ManifestError in a manifest; the message names the file and the byte offset.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 from collections.abc import Sequence
@@ -305,11 +309,23 @@ def parse_session(
                                             tuple(builder.warnings))
 
 
+def read_text(path: Path, error: type[Exception]) -> str:
+    """A file's UTF-8 text with universal newlines, a leading byte order mark
+    dropped. Bytes that are not UTF-8 raise ``error`` naming the file and the
+    offset of the first bad byte."""
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the codec counts from after a byte order mark, the file from its start
+        bom = path.read_bytes().startswith(codecs.BOM_UTF8)
+        offset = exc.start + len(codecs.BOM_UTF8) * bom
+        raise error(f"{path}: not UTF-8 text: byte {offset}: {exc.reason}") from None
+
+
 def read_session(path: str | Path, options: ParseOptions | None = None) -> SampleStream:
     """Read and parse one recording file."""
     p = Path(path)
-    text = p.read_text(encoding="utf-8-sig")
-    return parse_session(text, options, source_id=str(p))
+    return parse_session(read_text(p, ParseError), options, source_id=str(p))
 
 
 def serialize_session(stream: SampleStream) -> str:
@@ -383,7 +399,7 @@ def load_manifest(text: str, base_dir: str | Path | None = None) -> CorpusManife
 def read_manifest(path: str | Path) -> CorpusManifest:
     """Read a manifest file, resolving relative paths against its directory."""
     p = Path(path)
-    return load_manifest(p.read_text(encoding="utf-8-sig"), base_dir=p.parent)
+    return load_manifest(read_text(p, ManifestError), base_dir=p.parent)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Rendering: cohort time tables, p-value tables, and trajectory plots.
 
 All renderers are pure functions of their inputs (no timestamps, no locale),
-so identical inputs give byte-identical output.
+so identical inputs give byte-identical output. The SVG is written as text,
+byte-identical to the ElementTree serialisation of earlier releases.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-from xml.etree import ElementTree as ET
 
 from .features import AnomalyPolicy, CohortSummary, Feature
 from .ingest import SampleStream
@@ -147,101 +147,55 @@ _STRIP_H = 80
 _PANEL_COLORS = {StrokeClass.ON_SURFACE: "#1f6feb", StrokeClass.IN_AIR_SHORT: "#d4a017"}
 
 
-def _panel(stream: SampleStream, seg: SessionSegmentation, cls: StrokeClass,
-           y_offset: int, label: str) -> ET.Element:
+def render_trajectories(stream: SampleStream, seg: SessionSegmentation) -> str:
+    """Fixed two-panel figure: on-surface trajectories on top, short in-air
+    trajectories below, and a timeline strip marking each long in-air stroke
+    with a labeled tick. Returns a well-formed SVG document string."""
+    # written as text: every attribute value and text node below is a number
+    # or a fixed ASCII word, so nothing needs XML escaping
+    total_h = 2 * _PANEL_H + _STRIP_H
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{total_h}" '
+             f'viewBox="0 0 {_SVG_W} {total_h}">']
     xs, ys = stream.x, stream.y
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     # 5% margin around the data bounds; degenerate extents get a unit pad
     pad_x = (max_x - min_x) * 0.05 or 1.0
     pad_y = (max_y - min_y) * 0.05 or 1.0
-    panel = ET.Element(
-        "svg",
-        {
-            "x": "0",
-            "y": str(y_offset),
-            "width": str(_SVG_W),
-            "height": str(_PANEL_H),
-            "viewBox": f"{min_x - pad_x:g} {min_y - pad_y:g} "
-                       f"{max_x - min_x + 2 * pad_x:g} {max_y - min_y + 2 * pad_y:g}",
-            "preserveAspectRatio": "xMidYMid meet",
-        },
-    )
-    for stroke in seg.strokes:
-        if stroke.cls is not cls or stroke.n_samples == 0:
-            continue
-        lo, hi = stroke.sample_range
-        points = " ".join(map("{},{}".format, xs[lo:hi], ys[lo:hi]))
-        ET.SubElement(
-            panel,
-            "polyline",
-            {
-                "points": points,
-                "fill": "none",
-                "stroke": _PANEL_COLORS[cls],
-                "stroke-width": "2",
-                "vector-effect": "non-scaling-stroke",
-            },
-        )
-    title = ET.SubElement(panel, "text", {
-        "x": f"{min_x - pad_x:g}",
-        "y": f"{min_y - pad_y:g}",
-        "dy": "1em",
-        "font-size": f"{2 * pad_y:g}",
-        "fill": "#666666",
-    })
-    title.text = label
-    return panel
+    left_x, top_y = f"{min_x - pad_x:g}", f"{min_y - pad_y:g}"
+    view_box = f"{left_x} {top_y} {max_x - min_x + 2 * pad_x:g} {max_y - min_y + 2 * pad_y:g}"
+    for cls, y_offset, label in ((StrokeClass.ON_SURFACE, 0, "on-surface"),
+                                 (StrokeClass.IN_AIR_SHORT, _PANEL_H, "in-air short")):
+        parts.append(f'<svg x="0" y="{y_offset}" width="{_SVG_W}" height="{_PANEL_H}" '
+                     f'viewBox="{view_box}" preserveAspectRatio="xMidYMid meet">')
+        tail = (f'" fill="none" stroke="{_PANEL_COLORS[cls]}" stroke-width="2" '
+                f'vector-effect="non-scaling-stroke" />')
+        for stroke in seg.strokes:
+            if stroke.cls is not cls or stroke.n_samples == 0:
+                continue
+            lo, hi = stroke.sample_range
+            # one %-format over x0, y0, x1, y1, ...: %d of an int is its str
+            flat = [0] * (2 * (hi - lo))
+            flat[::2], flat[1::2] = xs[lo:hi], ys[lo:hi]
+            parts.append('<polyline points="' + " ".join(["%d,%d"] * (hi - lo)) % tuple(flat)
+                         + tail)
+        parts.append(f'<text x="{left_x}" y="{top_y}" dy="1em" font-size="{2 * pad_y:g}" '
+                     f'fill="#666666">{label}</text></svg>')
 
-
-def render_trajectories(stream: SampleStream, seg: SessionSegmentation) -> str:
-    """Fixed two-panel figure: on-surface trajectories on top, short in-air
-    trajectories below, and a timeline strip marking each long in-air stroke
-    with a labeled tick. Returns a well-formed SVG document string."""
-    total_h = 2 * _PANEL_H + _STRIP_H
-    root = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "width": str(_SVG_W),
-            "height": str(total_h),
-            "viewBox": f"0 0 {_SVG_W} {total_h}",
-        },
-    )
-    root.append(_panel(stream, seg, StrokeClass.ON_SURFACE, 0, "on-surface"))
-    root.append(_panel(stream, seg, StrokeClass.IN_AIR_SHORT, _PANEL_H, "in-air short"))
-
-    strip = ET.SubElement(root, "g")
     axis_y = 2 * _PANEL_H + _STRIP_H // 2
     left, right = 40, _SVG_W - 20
-    ET.SubElement(strip, "line", {
-        "x1": str(left), "y1": str(axis_y), "x2": str(right), "y2": str(axis_y),
-        "stroke": "#444444", "stroke-width": "1",
-    })
-    t0, t1 = stream.t_first, stream.t_last
-    span = t1 - t0
-
-    def to_x(t: int) -> float:
-        if span == 0:
-            return float(left)
-        return left + (right - left) * (t - t0) / span
-
+    parts.append(f'<g><line x1="{left}" y1="{axis_y}" x2="{right}" y2="{axis_y}" '
+                 f'stroke="#444444" stroke-width="1" />')
+    t0 = stream.t_first
+    span = stream.t_last - t0
     for stroke in seg.strokes:
         if stroke.cls is not StrokeClass.IN_AIR_LONG:
             continue
-        x = to_x(stroke.start_t)
-        ET.SubElement(strip, "line", {
-            "x1": f"{x:g}", "y1": str(axis_y - 14),
-            "x2": f"{x:g}", "y2": str(axis_y + 6),
-            "stroke": "#c0392b", "stroke-width": "2",
-        })
-        label = ET.SubElement(strip, "text", {
-            "x": f"{x:g}", "y": str(axis_y - 18),
-            "font-size": "11", "text-anchor": "middle", "fill": "#c0392b",
-        })
-        label.text = str(stroke.duration)
-    caption = ET.SubElement(strip, "text", {
-        "x": str(left), "y": str(axis_y + 24), "font-size": "12", "fill": "#666666",
-    })
-    caption.text = "in-air long events on the session timeline"
-    return ET.tostring(root, encoding="unicode") + "\n"
+        x = left + (right - left) * (stroke.start_t - t0) / span if span else float(left)
+        parts.append(f'<line x1="{x:g}" y1="{axis_y - 14}" x2="{x:g}" y2="{axis_y + 6}" '
+                     f'stroke="#c0392b" stroke-width="2" />'
+                     f'<text x="{x:g}" y="{axis_y - 18}" font-size="11" text-anchor="middle" '
+                     f'fill="#c0392b">{stroke.duration}</text>')
+    parts.append(f'<text x="{left}" y="{axis_y + 24}" font-size="12" fill="#666666">'
+                 f'in-air long events on the session timeline</text></g></svg>\n')
+    return "".join(parts)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import SynthSpecError
-from .ingest import MANIFEST_HEADER, SampleStream, serialize_session
+from .ingest import MANIFEST_HEADER, SampleStream, read_text, serialize_session
 from .segmentation import (
     SegmentationConfig,
     StrokeClass,
@@ -405,4 +405,4 @@ def load_corpus_spec(text: str) -> CorpusSpec:
 
 
 def read_corpus_spec(path: str | Path) -> CorpusSpec:
-    return load_corpus_spec(Path(path).read_text(encoding="utf-8-sig"))
+    return load_corpus_spec(read_text(Path(path), SynthSpecError))

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import os
 import subprocess
@@ -412,3 +413,155 @@ def test_synth_manifest_with_odd_labels_is_read_back(tmp_path, capsys):
     assert len(rows) == 9
     assert {tuple(r[1:3]) for r in rows[1:]} == {("clinic, north", 'say "hi",\ntwice')}
     assert sorted({r[4] for r in rows[1:]}) == ["control, a", 'pat"ient']
+
+
+UNDECODABLE = b"1 2 3 1\n\xff\xfe 2 4 1\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_undecodable_files_exit_two_naming_file_and_byte(tmp_path, capsys, monkeypatch,
+                                                         workers):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    bad = tmp_path / "bad.svc"
+    bad.write_bytes(UNDECODABLE)
+    bom = tmp_path / "bom.svc"
+    bom.write_bytes(b"\xef\xbb\xbf" + UNDECODABLE)  # offsets count the mark's 3 bytes
+    write_session(tmp_path, "good.svc")
+    write_session(tmp_path, "also_good.svc")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,database,task,subject,cohort\n"
+                        "good.svc,db,copy,s0,control\n"
+                        "bad.svc,db,copy,s1,patient\n"
+                        "also_good.svc,db,copy,s2,patient\n", encoding="utf-8")
+    bad_manifest = tmp_path / "bad_manifest.csv"
+    bad_manifest.write_bytes(b"path,database,task,subject,cohort\n"
+                             b"good.svc,db,copy,s\xff,control\n")
+    spec = tmp_path / "bad.ini"
+    spec.write_bytes(CORPUS_INI.encode("utf-8").replace(b"demo", b"d\xffmo"))
+    compare = ["--cohort-a", "control", "--cohort-b", "patient"]
+    cases = [
+        (["parse", str(bad)], bad, 8),
+        (["parse", str(bom)], bom, 11),
+        (["segment", str(bad)], bad, 8),
+        (["render", str(bad)], bad, 8),
+        (["features", str(manifest)], bad, 8),
+        (["aggregate", str(manifest)], bad, 8),
+        (["compare", str(manifest)] + compare, bad, 8),
+        (["features", str(bad_manifest)], bad_manifest, 52),
+        (["aggregate", str(bad_manifest)], bad_manifest, 52),
+        (["compare", str(bad_manifest)] + compare, bad_manifest, 52),
+        (["synth", "--spec", str(spec), "--seed", "1", "--out", str(tmp_path / "out")],
+         spec, CORPUS_INI.index("demo") + 1),
+    ]
+    for argv, path, offset in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the path once: manifest commands add it only to errors that lack it
+        assert captured.err == (
+            f"error: {path}: not UTF-8 text: byte {offset}: invalid start byte\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture
+def restore_collector():
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_collector_as_it_found_it(tmp_path, capsys, monkeypatch, restore_collector,
+                                              enabled):
+    good = write_session(tmp_path)
+    bad = write_session(tmp_path, "bad.svc", "0 0 x 1\n")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("path,database,task,subject,cohort\n", encoding="utf-8")
+    cases = [
+        (["parse", str(good)], 0),
+        (["bogus"], 1),  # a usage error, before any command runs
+        (["synth", "--spec", "any.ini", "--seed", "1"], 1),  # a usage error from a command
+        (["parse", str(bad)], 2),
+        (["aggregate", str(empty)], 3),
+    ]
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    for argv, code in cases:
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+
+    def buggy(*args):
+        raise ZeroDivisionError("a bug")
+
+    monkeypatch.setattr(cli, "segment", buggy)
+    with pytest.raises(ZeroDivisionError):
+        main(["segment", str(good)])
+    assert gc.isenabled() is enabled
+
+
+def test_collector_is_paused_while_a_command_runs(tmp_path, capsys, monkeypatch,
+                                                  restore_collector):
+    seen = []
+    real = cli.segment
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    monkeypatch.setattr(cli, "segment", spy)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    gc.enable()
+    manifest = make_corpus(tmp_path)
+    assert main(["segment", str(write_session(tmp_path))]) == 0
+    assert main(["features", str(manifest)]) == 0
+    assert seen == [False] * 9
+    assert gc.isenabled()
+
+
+def cyclic_garbage(call):
+    # objects only the cyclic collector can free, left behind by call()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def long_recording_text(n):
+    # strokes of 40 samples, alternating status, a long gap every 400 samples
+    t = 0
+    rows = []
+    for i in range(n):
+        rows.append(f"{i % 97} {-(i % 89)} {t} {(i // 40) % 2}\n")
+        t += 500 if i % 400 == 399 else 2
+    return "".join(rows)
+
+
+def test_cyclic_garbage_of_a_command_does_not_grow_with_its_input(tmp_path, capsys,
+                                                                  monkeypatch):
+    # penair's data holds no reference cycles, which is why a command may run
+    # with the collector paused: all a run leaves is argparse's parser tree
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    parser_only = cyclic_garbage(cli.build_parser)
+    small_spec = tmp_path / "small.ini"
+    small_spec.write_text(CORPUS_INI.replace("files = 4", "files = 1"), encoding="utf-8")
+    assert main(["synth", "--spec", str(small_spec), "--seed", "5",
+                 "--out", str(tmp_path / "small")]) == 0
+    small = tmp_path / "small" / "manifest.csv"
+    large = make_corpus(tmp_path)
+    short = write_session(tmp_path, "short.svc")
+    long = write_session(tmp_path, "long.svc", long_recording_text(20000))
+    capsys.readouterr()
+    for argv in (["features", str(small)], ["features", str(large)],
+                 ["render", str(short)], ["render", str(long)]):
+        assert cyclic_garbage(lambda: main(argv)) == parser_only
+        assert capsys.readouterr().out
