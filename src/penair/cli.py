@@ -304,6 +304,11 @@ def _cmd_compare(args, cfg: RunConfig) -> int:
     vectors = _collect_vectors(args.manifest, args, cfg)
     if args.database is not None:
         vectors = [v for v in vectors if v.source.database == args.database]
+    for v in vectors:  # compare_cohorts drops anomalous files: name each one
+        rec = v.source
+        if v.anomalous and rec.cohort in (args.cohort_a, args.cohort_b):
+            sys.stderr.write(f"WARN {rec.path} anomalous: excluded from comparison "
+                             f"(cohort {rec.cohort}, task {rec.task})\n")
     side_a = [v for v in vectors if v.source.cohort == args.cohort_a]
     side_b = [v for v in vectors if v.source.cohort == args.cohort_b]
     if not side_a or not side_b:

@@ -1,11 +1,18 @@
 """Reading, validating, and writing digitizer recordings and corpus manifests.
 
 Sample file format: UTF-8 text, one sample per line, fields separated by
-runs of spaces or tabs. Either seven columns ``x y t status azimuth altitude
+runs of whitespace. Either seven columns ``x y t status azimuth altitude
 pressure`` or four columns ``x y t status``; the column count is fixed per
 file and detected from the first data row. ``status`` is 1 while the pen
 touches the surface and 0 while it hovers. All values are integers in raw
 device units; timestamps are unit-agnostic ticks.
+
+The grammar is Python's; serialize_session writes only its ASCII subset.
+A field is any ``int()`` literal, so ``+2``, ``1_0`` and non-ASCII decimal
+digits (U+0663, Arabic-Indic three) are read. ``str.split`` splits fields at
+any Unicode whitespace, and rows end where ``str.splitlines`` ends them, so
+a form feed, U+0085 and U+2028 end a row too. A field with more digits than
+``sys.get_int_max_str_digits()`` is a ParseError ("non-integer field").
 
 Manifest format: CSV with the exact header ``path,database,task,subject,cohort``.
 Relative paths are resolved against the manifest's own directory.

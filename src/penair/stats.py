@@ -7,9 +7,10 @@ U_A is exact. Two routes to a two-sided p-value:
   pooled values to the two groups, of a U at least as far from the null mean
   n_a * n_b / 2 as observed, as an exact rational. The null distribution
   comes from the shift algorithm of Streitberg & Roehmel (1986) on Python
-  integers: one integer per subset size packs the counts per doubled rank
-  sum into fixed-width slots, and taking j values of a tie group shifts it
-  by j times the group's doubled midrank.
+  integers. One integer per subset size k packs the counts per doubled
+  U-statistic (doubled rank sum minus k(k+1)) into slots as wide as
+  C(n, n_a) in bits; taking values of a tie group shifts it up, and sizes
+  that can no longer reach n_a are not updated.
 * approx_p: normal approximation with continuity correction 0.5 and the
   tie-corrected variance n_a*n_b/12 * ((N+1) - sum(t^3 - t) / (N * (N-1))).
 """
@@ -104,36 +105,39 @@ def _doubled_u_counts(sizes: tuple[int, ...], n_a: int) -> tuple[int, int]:
     """Null distribution of 2*U_A over all n_a-subsets of a pooled multiset,
     packed into one integer.
 
-    Only the tie-group sizes matter. Taking j values of a group of size t
-    with doubled midrank m2 adds j*m2 to the doubled rank sum in C(t, j)
-    ways. Slot s of ``dp[k]``, ``slot`` bits wide, counts the k-subsets of the
-    groups so far with doubled rank sum s, so adding j*m2 is a shift by j*m2
-    slots. Per group, k runs from high to low so that dp[k - j] still lacks
-    the group: dp[k] += (dp[k - j] * C(t, j)) << (slot * j * m2) for j = 1..t.
+    Only the tie-group sizes matter. Slot s of ``dp[k]``, ``slot`` bits wide,
+    counts the k-subsets of the groups so far whose doubled rank sum is
+    s + k(k+1), the smallest doubled sum k values can have; so slot s of
+    ``dp[n_a]`` is 2*U_A = s. A group of t values after ``before`` smaller
+    ones has doubled midrank 2*before + t + 1, so adding j of its values to a
+    (k-j)-subset, in C(t, j) ways, moves it j*(2*(before - k) + t + j) slots
+    up, never down since k - j <= before. Per group, k runs from high to low
+    so that dp[k - j] still lacks the group; an untied group shifts dp[k - 1]
+    without a multiply. Sizes k below n_a minus the values still to come can
+    no longer reach n_a; they are neither updated nor read again.
 
-    ``dp[k]`` is the counting polynomial evaluated at 2**slot, which shifting,
-    multiplying and adding keep exact, so a count that outgrows its slot on the
-    way (dp[k] for k near n/2 reaches C(n, k) > C(n, n_a) when n_a > n/2)
-    spills into the next slot without changing the final integer. Only the
-    final counts, and sums of them, must fit a slot: they are at most
-    C(n, n_a) <= C(n, n // 2), whose bit length is the slot width. Returns
-    (packed, slot): slot u2 of ``packed`` counts the subsets with doubled
-    U_A = u2, for u2 from 0 to 2*n_a*n_b; the counts sum to C(n, n_a).
+    Each k-subset a kept ``dp[k]`` counts extends to an n_a-subset of the
+    pool, so its counts sum to at most C(n, n_a), whose bit length is the slot
+    width: no count ever spills into the next slot. Returns (packed, slot):
+    slot u2 of ``packed`` counts the subsets with doubled U_A = u2, for u2
+    from 0 to 2*n_a*n_b; the counts sum to C(n, n_a).
     """
     n = sum(sizes)
-    slot = comb(n, n // 2).bit_length()
+    slot = comb(n, n_a).bit_length()
     dp = [1] + [0] * n_a
-    offset = 0
+    before = 0
     for size in sizes:
-        m2 = 2 * offset + size + 1
-        offset += size
-        for k in range(min(n_a, offset), 0, -1):
+        after = before + size
+        for k in range(min(n_a, after), max(n_a - n + after, 1) - 1, -1):
+            if size == 1:
+                dp[k] += dp[k - 1] << (slot * 2 * (before - k + 1))
+                continue
             acc = dp[k]
-            for j in range(1, min(size, k) + 1):
-                acc += (dp[k - j] * comb(size, j)) << (slot * j * m2)
+            for j in range(max(k - before, 1), min(size, k) + 1):
+                acc += (dp[k - j] * comb(size, j)) << (slot * j * (2 * (before - k) + size + j))
             dp[k] = acc
-    # 2*U_A = doubled rank sum - n_a(n_a+1)
-    return dp[n_a] >> (slot * n_a * (n_a + 1)), slot
+        before = after
+    return dp[n_a], slot
 
 
 def exact_p(a: Sequence, b: Sequence, exact_limit: int = DEFAULT_EXACT_LIMIT) -> Fraction:

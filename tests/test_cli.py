@@ -276,6 +276,41 @@ def test_compare_task_with_empty_side_aborts_run(tmp_path, capsys):
     assert captured.out == ""
     assert "'spiral'" in captured.err
     assert "anomaly exclusion" in captured.err
+    # the excluded file is named once, before the error
+    assert captured.err.startswith(
+        f"WARN {tmp_path / 'bad.svc'} anomalous: excluded from comparison "
+        "(cohort patient, task spiral)\nerror: ")
+
+
+def test_compare_names_excluded_files_of_compared_cohorts_only(tmp_path, capsys):
+    # anomalous files of the two compared cohorts in --database are named in
+    # manifest order; those of another cohort or database are not, and the
+    # table is the one the manifest gives without any anomalous file
+    write_session(tmp_path, "ok.svc",
+                  "0 0 0 1\n1 1 2 1\n2 2 4 1\n3 3 6 0\n4 4 8 0\n5 5 10 1\n")
+    bad = write_session(tmp_path, "bad.svc",
+                        "0 0 0 1\n1 1 2 1\n2 2 4 0\n3 3 6 0\n4 4 200 0\n5 5 202 1\n")
+    rows = [("ok", "db1", "spiral", "s1", "control"),
+            ("bad", "db1", "spiral", "s2", "patient"),
+            ("bad", "db1", "spiral", "s3", "other"),
+            ("bad", "db2", "spiral", "s4", "patient"),
+            ("bad", "db1", "copy", "s5", "control"),
+            ("ok", "db1", "copy", "s6", "control"),
+            ("ok", "db1", "copy", "s7", "patient"),
+            ("ok", "db1", "spiral", "s8", "patient")]
+    argv = ["--cohort-a", "control", "--cohort-b", "patient", "--database", "db1"]
+    outs = []
+    for name, kept in (("all.csv", rows), ("clean.csv", [r for r in rows if r[0] == "ok"])):
+        manifest = tmp_path / name
+        manifest.write_text("path,database,task,subject,cohort\n" + "".join(
+            f"{r[0]}.svc,{','.join(r[1:])}\n" for r in kept), encoding="utf-8")
+        assert main(["compare", str(manifest), *argv]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0].err == (
+        f"WARN {bad} anomalous: excluded from comparison (cohort patient, task spiral)\n"
+        f"WARN {bad} anomalous: excluded from comparison (cohort control, task copy)\n")
+    assert outs[1].err == ""
+    assert outs[0].out == outs[1].out
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

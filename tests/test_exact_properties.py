@@ -5,7 +5,9 @@ shift algorithm in ``stats._doubled_u_counts`` replaced, kept here as the
 oracle: on every generated pair of groups both must return the same
 ``Fraction``. The pools are drawn tie-heavy and lopsided: ties put many
 subsets on one rank sum, so the final counts come closest to filling a slot,
-and with n_a > n/2 the counts for k near n/2 outgrow C(n, n_a) on the way.
+and n_a far from n/2 makes the slot, C(n, n_a) in bits, narrow.
+``reference_counts`` also checks ``_doubled_u_counts`` itself, slot by slot,
+on tie profiles drawn directly.
 """
 
 from fractions import Fraction
@@ -14,6 +16,7 @@ from math import comb
 from hypothesis import given, settings, strategies as st
 
 from penair import exact_p
+from penair.stats import _doubled_u_counts
 
 
 def reference_counts(sizes, n_a):
@@ -98,3 +101,54 @@ def test_exact_p_matches_reference_untied(data):
     values = data.draw(st.lists(st.integers(0, 4 * n), min_size=n, max_size=n))
     a, b = values[:n_a], values[n_a:]
     assert exact_p(a, b, exact_limit=60) == reference_exact_p(a, b)
+
+
+def assert_counts_match_reference(sizes, n_a):
+    """Every slot of ``_doubled_u_counts`` equals the reference count, no
+    bit lies above the top slot 2*n_a*n_b, and the counts sum to C(n, n_a)."""
+    n = sum(sizes)
+    top = 2 * n_a * (n - n_a)
+    packed, slot = _doubled_u_counts(sizes, n_a)
+    assert packed >> (slot * (top + 1)) == 0
+    mask = (1 << slot) - 1
+    counts = [(packed >> (slot * u2)) & mask for u2 in range(top + 1)]
+    expected = [0] * (top + 1)
+    for u2, ways in reference_counts(sizes, n_a):
+        expected[u2] = ways
+    assert counts == expected
+    assert sum(counts) == comb(n, n_a)
+
+
+@st.composite
+def tie_profiles(draw):
+    """Tie-group sizes and n_a: one tie group, all distinct values up to
+    n = 40, or groups of 1 to 5 values up to n = 50; n_a of 1, n - 1, above
+    n/2, or anything in between."""
+    kind = draw(st.sampled_from(["one group", "distinct", "mixed"]))
+    if kind == "one group":
+        sizes = (draw(st.integers(2, 50)),)
+    elif kind == "distinct":
+        sizes = (1,) * draw(st.integers(2, 40))
+    else:
+        sizes = tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=10)))
+    n = sum(sizes)
+    n_a = draw(st.one_of(
+        st.just(1),
+        st.just(n - 1),
+        st.integers(min(n // 2 + 1, n - 1), n - 1),
+        st.integers(1, n - 1),
+    ))
+    return sizes, n_a
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_profiles())
+def test_doubled_u_counts_match_reference_slot_by_slot(profile):
+    assert_counts_match_reference(*profile)
+
+
+def test_doubled_u_counts_pinned_edges():
+    # n = 40 all distinct and split evenly is the widest packed integer above
+    for sizes, n_a in [((1,) * 40, 20), ((1,) * 40, 1), ((1,) * 40, 39), ((40,), 25),
+                       ((3, 1, 4, 1, 5), 9), ((2,) * 10, 13), ((1, 1), 1)]:
+        assert_counts_match_reference(sizes, n_a)

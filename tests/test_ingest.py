@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from penair import (
     serialize_session,
     validate_stream,
 )
+from penair.cli import main
 
 
 def test_parse_single_row():
@@ -205,3 +207,40 @@ def test_read_manifest_resolves_against_parent(tmp_path):
     )
     manifest = read_manifest(tmp_path / "corpus" / "manifest.csv")
     assert manifest.records[0].path == tmp_path / "corpus" / "rec" / "a.svc"
+
+
+# The field grammar is Python's: int() literals, str.split fields and
+# str.splitlines rows. penair's writer only emits the plain ASCII subset.
+
+def test_fields_are_python_int_literals():
+    stream = parse_session("+2 1_0 \u0663 1\n-0 0_0 4 0\n")
+    assert (stream.x, stream.y, stream.t) == ((2, 0), (10, 0), (3, 4))
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+def test_splitlines_boundaries_end_rows(sep):
+    stream = parse_session(f"0 0 1 1{sep}5 5 2 0\n")
+    assert stream.t == (1, 2)
+    assert stream.x == (0, 5)
+
+
+def test_any_unicode_whitespace_separates_fields():
+    stream = parse_session("1\xa02\u30003 1\n")
+    assert (stream.x, stream.y, stream.t) == ((1,), (2,), (3,))
+
+
+def test_field_longer_than_int_digit_limit_exits_two(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("this interpreter converts integers of any length")
+    assert parse_session(f"0 0 {'9' * limit} 1\n").t == (int("9" * limit),)
+    text = f"0 0 1 1\n0 0 {'9' * (limit + 1)} 1\n"
+    with pytest.raises(ParseError, match="non-integer field") as exc:
+        parse_session(text)
+    assert exc.value.line == 2
+    path = tmp_path / "long.svc"
+    path.write_text(text, encoding="utf-8")
+    assert main(["parse", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: line 2: non-integer field in '0 0 999")
