@@ -16,18 +16,17 @@ import pickle
 import sys
 import traceback
 from fractions import Fraction
+from itertools import islice
+from operator import ne
 from pathlib import Path
 from typing import NoReturn
 
 from .errors import (
     DegenerateDataError,
     EmptyCohortError,
-    EmptyInputError,
     InsufficientDataError,
-    ManifestError,
     ParseError,
     PenAirError,
-    SynthSpecError,
 )
 from .features import Feature, aggregate_cohort, feature_vector
 from .ingest import (
@@ -35,7 +34,6 @@ from .ingest import (
     ParseWarning,
     read_manifest,
     read_session,
-    validate_stream,
 )
 from .report import (
     RunConfig,
@@ -156,13 +154,13 @@ def _emit(text: str, args) -> None:
 def _cmd_parse(args, cfg: RunConfig) -> int:
     stream = read_session(args.file, _parse_options(args))
     _print_warnings(stream.warnings, args.file)
-    report = validate_stream(stream)
+    t, status, pressure = stream.t, stream.status, stream.pressure
     header = ("source", "n_samples", "t_first", "t_last", "span",
               "status_transitions", "pressure_min", "pressure_max", "warnings")
-    row = (args.file, str(report.n_samples), str(report.t_first), str(report.t_last),
-           str(report.span), str(report.n_status_transitions), str(report.pressure_min),
-           str(report.pressure_max), str(report.n_warnings))
-    _emit(format_table(header, [row], cfg.table_format), args)
+    row = (args.file, len(t), t[0], t[-1], t[-1] - t[0],
+           sum(map(ne, status, islice(status, 1, None))), min(pressure), max(pressure),
+           len(stream.warnings))
+    _emit(format_table(header, [tuple(map(str, row))], cfg.table_format), args)
     return EXIT_OK
 
 
@@ -252,7 +250,7 @@ def _run_child(share, context, write_fd: int) -> NoReturn:
 
 
 def _collect_vectors(manifest_path: str, args, cfg: RunConfig):
-    records = read_manifest(manifest_path).records
+    records = read_manifest(manifest_path)
     context = (_parse_options(args), cfg.segmentation_config(), cfg.anomaly_policy())
     workers = min(len(records), _usable_cpus()) if hasattr(os, "fork") else 1
     results = (_fan_out(records, workers, context) if workers > 1
@@ -383,16 +381,10 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.handler(args, cfg)
-    except (ParseError, ManifestError, EmptyInputError, SynthSpecError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_FORMAT
     except (EmptyCohortError, DegenerateDataError, InsufficientDataError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DEGENERATE
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_FORMAT
-    except PenAirError as exc:  # anything else from the library is a data problem
+    except (PenAirError, OSError) as exc:  # any other library error is a data problem
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FORMAT
     finally:

@@ -11,8 +11,9 @@ The grammar is Python's; serialize_session writes only its ASCII subset.
 A field is any ``int()`` literal, so ``+2``, ``1_0`` and non-ASCII decimal
 digits (U+0663, Arabic-Indic three) are read. ``str.split`` splits fields at
 any Unicode whitespace, and rows end where ``str.splitlines`` ends them, so
-a form feed, U+0085 and U+2028 end a row too. A field with more digits than
-``sys.get_int_max_str_digits()`` is a ParseError ("non-integer field").
+a form feed, U+0085 and U+2028 end a row too. An integer field with more
+digits than ``sys.get_int_max_str_digits()`` is a ParseError naming its digit
+count and the limit.
 
 Manifest format: CSV with the exact header ``path,database,task,subject,cohort``.
 Relative paths are resolved against the manifest's own directory.
@@ -26,12 +27,13 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import re
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import IntEnum
 from functools import cached_property
 from itertools import islice
-from operator import attrgetter, lt, ne
+from operator import lt
 from pathlib import Path
 from typing import NamedTuple
 
@@ -44,18 +46,11 @@ from .errors import (
 
 MANIFEST_HEADER = ("path", "database", "task", "subject", "cohort")
 
-# Column order of the seven-column file format, of Sample and of SampleStream.
+# Column order of the seven-column file format, of SampleStream and of its rows.
 COLUMNS = ("x", "y", "t", "status", "azimuth", "altitude", "pressure")
 
-
-class PenStatus(IntEnum):
-    """Pen contact state as recorded in the status column."""
-
-    IN_AIR = 0
-    ON_SURFACE = 1
-
-
-_PEN_STATUS = tuple(PenStatus)  # indexed by a status column value
+# what int() takes as a base-10 literal; such a field fails only on its length
+_INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
 
 
 class ParseWarning(NamedTuple):
@@ -63,28 +58,12 @@ class ParseWarning(NamedTuple):
     message: str
 
 
-@dataclass(frozen=True, slots=True)
-class Sample:
-    """One digitizer sample; every field is a raw integer device unit."""
-
-    x: int
-    y: int
-    t: int
-    status: PenStatus
-    azimuth: int = 0
-    altitude: int = 0
-    pressure: int = 0
-
-
-def _sample(x, y, t, status, azimuth, altitude, pressure) -> Sample:
-    return Sample(x, y, t, _PEN_STATUS[status], azimuth, altitude, pressure)
-
-
 class SampleView(Sequence):
-    """Read-only sequence of :class:`Sample` rows over a stream's columns.
+    """Read-only sequence of rows over a stream's columns; a row is a plain
+    tuple in :data:`COLUMNS` order.
 
-    Rows are built when read; ``len()`` touches no row. Slicing returns a
-    tuple of Samples.
+    Rows are built when read; ``len()`` builds none. Slicing returns a tuple
+    of rows. A view has no equality of its own: compare streams.
     """
 
     __slots__ = ("_columns",)
@@ -97,20 +76,11 @@ class SampleView(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(map(_sample, *(c[index] for c in self._columns)))
-        return _sample(*(c[index] for c in self._columns))
+            return tuple(zip(*(c[index] for c in self._columns)))
+        return tuple(c[index] for c in self._columns)
 
     def __iter__(self):
-        return map(_sample, *self._columns)
-
-    def __eq__(self, other):
-        if isinstance(other, SampleView):
-            return self._columns == other._columns
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    __hash__ = None
+        return zip(*self._columns)
 
 
 @dataclass(frozen=True, init=False)
@@ -119,9 +89,8 @@ class SampleStream:
 
     Holds one tuple of ints per column, in :data:`COLUMNS` order; ``status``
     is 1 on the surface and 0 in the air. ``samples`` views the same data as
-    :class:`Sample` rows. ``SampleStream(samples)`` builds a stream from
-    Sample rows and :meth:`from_columns` from columns; both check that
-    timestamps strictly increase and raise ValueError otherwise.
+    rows. :meth:`from_columns` is the constructor; it checks that timestamps
+    strictly increase and raises ValueError otherwise.
     """
 
     x: tuple[int, ...]
@@ -133,13 +102,6 @@ class SampleStream:
     pressure: tuple[int, ...]
     source_id: str
     warnings: tuple[ParseWarning, ...]
-
-    def __init__(self, samples, source_id: str = "<stream>",
-                 warnings: tuple[ParseWarning, ...] = ()):
-        rows = tuple(map(attrgetter(*COLUMNS), samples))
-        x, y, t, status, *aux = zip(*rows) if rows else ((),) * len(COLUMNS)
-        self._set(_checked_columns(source_id, x, y, t, tuple(map(int, status)), *aux),
-                  source_id, warnings)
 
     @classmethod
     def from_columns(cls, x, y, t, status, azimuth=None, altitude=None, pressure=None,
@@ -153,13 +115,10 @@ class SampleStream:
     @classmethod
     def _from_valid_columns(cls, columns, source_id, warnings) -> "SampleStream":
         stream = object.__new__(cls)
-        stream._set(columns, source_id, warnings)
-        return stream
-
-    def _set(self, columns, source_id, warnings) -> None:
         for name, value in zip(COLUMNS + ("source_id", "warnings"),
                                columns + (source_id, tuple(warnings))):
-            object.__setattr__(self, name, value)
+            object.__setattr__(stream, name, value)
+        return stream
 
     @cached_property
     def samples(self) -> SampleView:
@@ -264,10 +223,12 @@ class _ColumnBuilder:
                 raise ParseError(f"expected 4 or 7 columns, got {len(fields)}", lineno)
         elif len(fields) != self.width:
             raise ParseError(f"expected {self.width} columns, got {len(fields)}", lineno)
-        try:
-            values = [int(f) for f in fields]
-        except ValueError:
-            raise ParseError(f"non-integer field in {raw.strip()!r}", lineno) from None
+        values = []
+        for field in fields:
+            try:
+                values.append(int(field))
+            except ValueError:
+                raise ParseError(_bad_field(field, raw), lineno) from None
         t, status_raw = values[2], values[3]
         pressure = values[6] if len(values) == 7 else 0
         if status_raw not in (0, 1):
@@ -278,6 +239,14 @@ class _ColumnBuilder:
         if t < self.last_t:
             raise TimestampOrderError(f"timestamp {t} after {self.last_t}", lineno)
         self.warnings.append(ParseWarning(lineno, f"duplicate timestamp {t} dropped"))
+
+
+def _bad_field(field: str, raw: str) -> str:
+    if _INT_LITERAL.fullmatch(field):  # an integer over the interpreter's digit limit
+        digits = sum(map(str.isdecimal, field))
+        return (f"integer field of {digits} digits exceeds the limit of "
+                f"{sys.get_int_max_str_digits()} digits")
+    return f"non-integer field in {raw.strip()!r}"
 
 
 def parse_session(
@@ -352,21 +321,11 @@ class ManifestRecord:
     cohort: str
 
 
-@dataclass(frozen=True)
-class CorpusManifest:
-    records: tuple[ManifestRecord, ...]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-
-def load_manifest(text: str, base_dir: str | Path | None = None) -> CorpusManifest:
+def load_manifest(text: str, base_dir: str | Path | None = None) -> tuple[ManifestRecord, ...]:
     """Parse a corpus manifest from CSV text.
 
-    A header-only manifest is valid and empty. Raises ManifestError for a
+    Returns the records in file order; a header-only manifest is valid and
+    empty. Raises ManifestError for a
     missing or misspelled header, a row with the wrong field count, an empty
     label, or a duplicate (database, task, subject, path) combination.
     """
@@ -400,42 +359,11 @@ def load_manifest(text: str, base_dir: str | Path | None = None) -> CorpusManife
         if base is not None and not path.is_absolute():
             path = base / path
         records.append(ManifestRecord(path, database, task, subject, cohort))
-    return CorpusManifest(tuple(records))
+    return tuple(records)
 
 
-def read_manifest(path: str | Path) -> CorpusManifest:
+def read_manifest(path: str | Path) -> tuple[ManifestRecord, ...]:
     """Read a manifest file, resolving relative paths against its directory."""
     p = Path(path)
     return load_manifest(read_text(p, ManifestError), base_dir=p.parent)
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Quick-look statistics for a parsed recording."""
-
-    source_id: str
-    n_samples: int
-    t_first: int
-    t_last: int
-    n_status_transitions: int
-    pressure_min: int
-    pressure_max: int
-    n_warnings: int
-
-    @property
-    def span(self) -> int:
-        return self.t_last - self.t_first
-
-
-def validate_stream(stream: SampleStream) -> ValidationReport:
-    status = stream.status
-    return ValidationReport(
-        source_id=stream.source_id,
-        n_samples=len(stream.t),
-        t_first=stream.t_first,
-        t_last=stream.t_last,
-        n_status_transitions=sum(map(ne, status, islice(status, 1, None))),
-        pressure_min=min(stream.pressure),
-        pressure_max=max(stream.pressure),
-        n_warnings=len(stream.warnings),
-    )

@@ -21,7 +21,7 @@ from operator import ne, sub
 from typing import NamedTuple
 
 from .errors import InsufficientDataError
-from .ingest import PenStatus, SampleStream
+from .ingest import SampleStream
 
 
 def as_fraction(value) -> Fraction:
@@ -38,9 +38,9 @@ class StrokeClass(Enum):
     IN_AIR_SHORT = "in_air_short"
     IN_AIR_LONG = "in_air_long"
 
-    @classmethod
-    def from_status(cls, status: PenStatus) -> "StrokeClass":
-        return cls.ON_SURFACE if status == PenStatus.ON_SURFACE else cls.IN_AIR_SHORT
+
+# the class of a run of samples, indexed by their status value
+_STATUS_CLASS = (StrokeClass.IN_AIR_SHORT, StrokeClass.ON_SURFACE)
 
 
 class Gap(NamedTuple):
@@ -172,13 +172,13 @@ def segment(
     for i in sorted(gaps.union(changes)):
         # the run's span ends where the gap starts or where the next run starts
         end_t = t[i] if i in gaps else t[i + 1]
-        strokes.append(Stroke(StrokeClass.from_status(status[run_start]), t[run_start], end_t,
+        strokes.append(Stroke(_STATUS_CLASS[status[run_start]], t[run_start], end_t,
                               (run_start, i + 1)))
         if i in gaps:
             strokes.append(Stroke(StrokeClass.IN_AIR_LONG, t[i], t[i + 1], (i + 1, i + 1)))
         run_start = i + 1
     last = len(t) - 1
-    strokes.append(Stroke(StrokeClass.from_status(status[run_start]), t[run_start], t[last],
+    strokes.append(Stroke(_STATUS_CLASS[status[run_start]], t[run_start], t[last],
                           (run_start, last + 1)))
     times = {c: 0 for c in StrokeClass}
     counts = {c: 0 for c in StrokeClass}

@@ -76,14 +76,6 @@ def _doubled_ranks(values: Sequence) -> tuple[list[int], tuple[int, ...]]:
     return ranks2, tuple(sizes)
 
 
-def midranks(values: Sequence) -> list[float]:
-    """Ranks with tied values sharing the mean of their rank positions.
-
-    midranks([5, 1, 3]) == [3.0, 1.0, 2.0]; midranks([2, 2]) == [1.5, 1.5].
-    """
-    return [r2 / 2 for r2 in _doubled_ranks(values)[0]]
-
-
 def _doubled_u(a: Sequence, b: Sequence) -> tuple[int, tuple[int, ...]]:
     """2*U_A = 2*R_A - n_a(n_a+1), exact, and the pooled tie profile."""
     n_a = len(a)

@@ -294,6 +294,12 @@ class CorpusSpec:
     def __post_init__(self):
         if not self.cohorts:
             raise SynthSpecError("corpus spec declares no cohorts")
+        # the manifest refuses an empty label, so synth must not write one
+        if not all(label.strip() for label in (self.database, self.task, *self.cohorts)):
+            raise SynthSpecError("database, task and cohort names must not be empty")
+        for name in self.cohorts:  # a cohort name starts its files' names
+            if {"/", "\\", "\0"} & set(name):
+                raise SynthSpecError(f"cohort name {name!r} holds '/', '\\' or NUL")
 
 
 def generate_corpus(
@@ -356,7 +362,7 @@ def load_corpus_spec(text: str) -> CorpusSpec:
         gaps = 1..4
         gap_ticks = 60..140
     """
-    parser = ConfigParser()
+    parser = ConfigParser(interpolation=None)  # a % in a label is a plain character
     try:
         parser.read_string(text)
     except ConfigParserError as exc:

@@ -3,7 +3,9 @@
 Each example writes generated bytes (near-valid recordings, arbitrary text,
 arbitrary bytes, empty files) or points at a directory, runs one command and
 checks the CLI contract: the exit code is 0, 2 or 3, stderr holds no
-traceback, and stdout is empty whenever the exit is nonzero.
+traceback, and stdout is empty whenever the exit is nonzero. ``synth`` runs
+on generated corpus specs and raw bytes, and ``features`` must accept every
+manifest it writes.
 """
 
 import contextlib
@@ -130,3 +132,84 @@ def test_manifest_commands_keep_exit_contract(entries, command):
         if command == "compare":
             argv += ["--cohort-a", "control", "--cohort-b", "patient"]
         check_contract(*run(argv))
+
+
+def _range(lo, hi):
+    n = st.integers(lo, hi)
+    return st.one_of(n.map(str), st.tuples(n, n).map(sorted).map("{0[0]}..{0[1]}".format))
+
+
+# (good values, bad values) per key; ticks stay at or below 2,000 and there
+# are at most 3 files per cohort, so no example writes a large corpus
+_CORPUS_KEYS = {
+    "period": (st.integers(1, 6).map(str), ["0", "-3", "x", "", "1.5"]),
+    "jitter": (st.integers(0, 3).map(str), ["-1", "9", "x", ""]),
+    "gap_factor": (st.sampled_from(["3", "2", "3.5", "7/2", "5"]),
+                   ["1", "0", "-2", "x", "1/0", "", "nan", "1e3", "1.1"]),
+    "database": (st.sampled_from(["clinic", "a,b", 'q"uote', "50%", "two\n  lines", "", " "]),
+                 []),
+    "task": (st.sampled_from(["spiral", "copy task", ""]), []),
+}
+_BAD_RANGES = ["", "x", "-1", "0", "3..1", "1..", "..4", "1...3", "1.5"]
+# a cohort name starts its files' names, so a path separator or NUL is refused
+_COHORT_NAMES = ["control", "patient", "a b", "x,y", "../up", "a\x00b"]
+_COHORT_KEYS = {
+    "files": (st.integers(1, 3).map(str), ["0", "-1", "x", "", "1..2"]),
+    "surface_strokes": (_range(1, 4), _BAD_RANGES),
+    "surface_ticks": (_range(1, 2000), _BAD_RANGES),
+    "air_ticks": (_range(1, 2000), _BAD_RANGES),
+    "gaps": (_range(0, 3), _BAD_RANGES),
+    "gap_ticks": (_range(50, 2000), _BAD_RANGES + ["1..2000"]),
+}
+
+
+@st.composite
+def _section(draw, name, keys):
+    """One INI section; now and then one key is missing or has a bad value."""
+    values = {key: draw(good) for key, (good, _) in keys.items()}
+    fault = draw(st.sampled_from([None] * 2 * len(keys) + list(keys)))
+    if fault is not None:
+        bad = keys[fault][1]
+        if bad and draw(st.booleans()):
+            values[fault] = draw(st.sampled_from(bad))
+        else:
+            del values[fault]
+    return f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+
+
+@st.composite
+def corpus_specs(draw):
+    """INI corpus specs, mostly valid: a [corpus] section and up to three
+    cohorts, with bad ranges, bad or missing values, bad gap_factor values,
+    now and then a bad, duplicate or missing section."""
+    sections = [draw(_section("corpus", _CORPUS_KEYS))]
+    for name in draw(st.lists(st.sampled_from(_COHORT_NAMES), min_size=1, max_size=3,
+                              unique=True)):
+        sections.append(draw(_section(f"cohort {name}", _COHORT_KEYS)))
+    odd = draw(st.sampled_from([None] * 12 + ["cohort ", "cohort", "other", "corpus",
+                                             "cohort control", "drop corpus"]))
+    if odd == "drop corpus":
+        del sections[0]
+    elif odd is not None:
+        sections.append(f"[{odd}]\nfiles = 1\n")
+    return "\n".join(draw(st.permutations(sections)))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=st.one_of(corpus_specs().map(str.encode), st.binary(max_size=300)),
+       seed=st.integers(-5, 2**70))
+def test_synth_keeps_exit_contract_and_its_corpus_reads_back(spec, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "spec.ini"
+        spec_path.write_bytes(spec)
+        argv = ["synth", "--spec", str(spec_path), "--seed", str(seed),
+                "--out", str(Path(tmp) / "out")]
+        code, out, err = run(argv)
+        assert code in (0, 2), (code, err)
+        assert "Traceback" not in err
+        if code != 0:
+            assert out == ""
+            return
+        # whatever synth writes, penair's own readers accept
+        code, out, err = run(["features", out.removesuffix("\n")])
+        assert code == 0, err

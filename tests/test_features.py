@@ -11,8 +11,6 @@ from penair import (
     Feature,
     FeatureVector,
     ManifestRecord,
-    PenStatus,
-    Sample,
     SampleStream,
     StrokeClass,
     aggregate_cohort,
@@ -60,11 +58,9 @@ def test_anomaly_threshold_validation():
 
 
 def test_feature_vector_from_segmentation():
-    samples = tuple(
-        Sample(i, i, t, PenStatus(s))
-        for i, (t, s) in enumerate(zip([0, 2, 4, 6, 40, 42], [1, 1, 0, 0, 0, 0]))
-    )
-    fv = feature_vector(segment(SampleStream(samples)))
+    index = range(6)
+    stream = SampleStream.from_columns(index, index, [0, 2, 4, 6, 40, 42], [1, 1, 0, 0, 0, 0])
+    fv = feature_vector(segment(stream))
     assert fv.value(Feature.TIME_ON_SURFACE) == 4
     assert fv.value(Feature.TIME_IN_AIR_SHORT) == 4
     assert fv.value(Feature.TIME_IN_AIR_LONG) == 34
@@ -76,7 +72,7 @@ def test_feature_vector_from_segmentation():
 
 
 def test_single_sample_session_not_anomalous():
-    fv = feature_vector(segment(SampleStream((Sample(0, 0, 5, PenStatus.ON_SURFACE),))))
+    fv = feature_vector(segment(SampleStream.from_columns([0], [0], [5], [1])))
     assert fv.total_time == 0
     assert not fv.anomalous
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 import sys
 
@@ -7,8 +9,6 @@ from penair import (
     EmptyInputError,
     ManifestError,
     ParseError,
-    PenStatus,
-    Sample,
     SampleStream,
     ParseOptions,
     TimestampOrderError,
@@ -17,7 +17,6 @@ from penair import (
     read_manifest,
     read_session,
     serialize_session,
-    validate_stream,
 )
 from penair.cli import main
 
@@ -25,22 +24,21 @@ from penair.cli import main
 def test_parse_single_row():
     stream = parse_session("10 20 100 1 0 0 512")
     assert len(stream.samples) == 1
-    s = stream.samples[0]
-    assert (s.x, s.y, s.t) == (10, 20, 100)
-    assert s.status == PenStatus.ON_SURFACE
-    assert (s.azimuth, s.altitude, s.pressure) == (0, 0, 512)
+    assert stream.samples[0] == (10, 20, 100, 1, 0, 0, 512)
+    assert (stream.x, stream.y, stream.t, stream.status) == ((10,), (20,), (100,), (1,))
+    assert (stream.azimuth, stream.altitude, stream.pressure) == ((0,), (0,), (512,))
 
 
 def test_parse_four_column_defaults():
     stream = parse_session("10 20 100 0\n11 21 102 1")
-    assert [s.status for s in stream.samples] == [PenStatus.IN_AIR, PenStatus.ON_SURFACE]
-    assert all((s.azimuth, s.altitude, s.pressure) == (0, 0, 0) for s in stream.samples)
+    assert stream.status == (0, 1)
+    assert (stream.azimuth, stream.altitude, stream.pressure) == ((0, 0),) * 3
 
 
 def test_parse_skips_blank_lines_and_tabs():
     text = "\n10 20 100 1\n\n11\t21\t102\t0\n\n"
     stream = parse_session(text)
-    assert [s.t for s in stream.samples] == [100, 102]
+    assert stream.t == (100, 102)
 
 
 def test_parse_mixed_column_count_rejected():
@@ -74,8 +72,8 @@ def test_parse_negative_pressure():
 def test_duplicate_timestamp_keeps_first_and_warns():
     stream = parse_session("1 2 100 1\n3 4 100 0")
     assert len(stream.samples) == 1
-    assert stream.samples[0].x == 1
-    assert stream.samples[0].status == PenStatus.ON_SURFACE
+    assert stream.x == (1,)
+    assert stream.status == (1,)
     assert len(stream.warnings) == 1
     assert stream.warnings[0].line == 2
 
@@ -97,33 +95,32 @@ def test_parse_empty_input():
 def test_derive_status_from_pressure():
     text = "1 2 100 1 0 0 0\n3 4 102 0 0 0 300"
     stream = parse_session(text, ParseOptions(derive_status_from_pressure=True))
-    assert [s.status for s in stream.samples] == [PenStatus.IN_AIR, PenStatus.ON_SURFACE]
+    assert stream.status == (0, 1)
 
 
 def test_stream_requires_increasing_timestamps():
-    a = Sample(0, 0, 5, PenStatus.IN_AIR)
-    b = Sample(0, 0, 5, PenStatus.IN_AIR)
     with pytest.raises(ValueError):
-        SampleStream((a, b))
+        SampleStream.from_columns([0, 0], [0, 0], [5, 5], [0, 0])
     with pytest.raises(EmptyInputError):
-        SampleStream(())
+        SampleStream.from_columns((), (), (), ())
 
 
 def test_serialize_parse_round_trip():
     rng = random.Random(20113)
     for _ in range(25):
         t = 0
-        samples = []
+        rows = []
         for _ in range(rng.randint(1, 120)):
             t += rng.randint(1, 9)
-            samples.append(Sample(
+            rows.append((
                 rng.randint(-500, 5000), rng.randint(-500, 5000), t,
-                PenStatus(rng.randint(0, 1)), rng.randint(0, 359),
+                rng.randint(0, 1), rng.randint(0, 359),
                 rng.randint(0, 90), rng.randint(0, 1023),
             ))
-        stream = SampleStream(tuple(samples))
+        stream = SampleStream.from_columns(*zip(*rows))
         again = parse_session(serialize_session(stream))
-        assert again.samples == stream.samples
+        assert again == stream
+        assert tuple(again.samples) == tuple(rows)
         assert serialize_session(again) == serialize_session(stream)
 
 
@@ -135,31 +132,40 @@ def test_read_session_strips_bom(tmp_path):
     assert stream.source_id == str(path)
 
 
-def test_validate_single_sample():
-    report = validate_stream(parse_session("1 2 100 1"))
-    assert report.span == 0
-    assert report.n_status_transitions == 0
-    assert report.n_samples == 1
+def parse_report(tmp_path, capsys, text):
+    """The one row of ``penair parse`` on ``text``, keyed by its header."""
+    path = tmp_path / "rec.svc"
+    path.write_text(text, encoding="utf-8")
+    assert main(["parse", str(path)]) == 0
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    return dict(zip(header, row))
 
 
-def test_validate_alternating_statuses():
+def test_validate_single_sample(tmp_path, capsys):
+    report = parse_report(tmp_path, capsys, "1 2 100 1")
+    assert report["span"] == "0"
+    assert report["status_transitions"] == "0"
+    assert report["n_samples"] == "1"
+
+
+def test_validate_alternating_statuses(tmp_path, capsys):
     lines = [f"0 0 {10 * i} {i % 2}" for i in range(10)]
-    report = validate_stream(parse_session("\n".join(lines)))
-    assert report.n_status_transitions == 9
+    report = parse_report(tmp_path, capsys, "\n".join(lines))
+    assert report["status_transitions"] == "9"
 
 
-def test_validate_pressure_range_and_warnings():
+def test_validate_pressure_range_and_warnings(tmp_path, capsys):
     text = "1 2 10 1 0 0 700\n1 2 10 1 0 0 700\n1 2 12 0 0 0 0"
-    report = validate_stream(parse_session(text))
-    assert (report.pressure_min, report.pressure_max) == (0, 700)
-    assert report.n_warnings == 1
+    report = parse_report(tmp_path, capsys, text)
+    assert (report["pressure_min"], report["pressure_max"]) == ("0", "700")
+    assert report["warnings"] == "1"
 
 
 def test_manifest_single_row(tmp_path):
     text = "path,database,task,subject,cohort\na.svc,db,sig,s01,control\n"
     manifest = load_manifest(text, base_dir=tmp_path)
     assert len(manifest) == 1
-    record = manifest.records[0]
+    record = manifest[0]
     assert record.path == tmp_path / "a.svc"
     assert (record.database, record.task, record.subject, record.cohort) == (
         "db", "sig", "s01", "control")
@@ -167,8 +173,7 @@ def test_manifest_single_row(tmp_path):
 
 def test_manifest_header_only_is_empty():
     manifest = load_manifest("path,database,task,subject,cohort\n")
-    assert len(manifest) == 0
-    assert list(manifest) == []
+    assert manifest == ()
 
 
 def test_manifest_duplicate_rows_rejected():
@@ -196,7 +201,7 @@ def test_manifest_field_count_and_empty_labels():
 def test_manifest_absolute_path_kept(tmp_path):
     text = "path,database,task,subject,cohort\n/data/a.svc,db,sig,s01,control\n"
     manifest = load_manifest(text, base_dir=tmp_path)
-    assert str(manifest.records[0].path) == "/data/a.svc"
+    assert str(manifest[0].path) == "/data/a.svc"
 
 
 def test_read_manifest_resolves_against_parent(tmp_path):
@@ -206,7 +211,7 @@ def test_read_manifest_resolves_against_parent(tmp_path):
         encoding="utf-8",
     )
     manifest = read_manifest(tmp_path / "corpus" / "manifest.csv")
-    assert manifest.records[0].path == tmp_path / "corpus" / "rec" / "a.svc"
+    assert manifest[0].path == tmp_path / "corpus" / "rec" / "a.svc"
 
 
 # The field grammar is Python's: int() literals, str.split fields and
@@ -235,12 +240,18 @@ def test_field_longer_than_int_digit_limit_exits_two(tmp_path, capsys):
         pytest.skip("this interpreter converts integers of any length")
     assert parse_session(f"0 0 {'9' * limit} 1\n").t == (int("9" * limit),)
     text = f"0 0 1 1\n0 0 {'9' * (limit + 1)} 1\n"
-    with pytest.raises(ParseError, match="non-integer field") as exc:
+    message = f"integer field of {limit + 1} digits exceeds the limit of {limit} digits"
+    with pytest.raises(ParseError, match=message) as exc:
         parse_session(text)
     assert exc.value.line == 2
+    # a sign and underscores are not digits; a field int() cannot read at all is not an integer
+    with pytest.raises(ParseError, match=message):
+        parse_session(f"0 0 +{'1_' * limit}1 1\n")
+    with pytest.raises(ParseError, match="non-integer field in '0 0 999"):
+        parse_session(f"0 0 {'9' * (limit + 1)}x 1\n")
     path = tmp_path / "long.svc"
     path.write_text(text, encoding="utf-8")
     assert main(["parse", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: line 2: non-integer field in '0 0 999")
+    assert captured.err == f"error: line 2: {message}\n"

@@ -15,8 +15,6 @@ from penair import (
     ParseError,
     ParseOptions,
     ParseWarning,
-    PenStatus,
-    Sample,
     SampleStream,
     TimestampOrderError,
     parse_session,
@@ -26,7 +24,8 @@ from penair import ingest
 
 
 def reference_parse(text, options=None, source_id="<stream>"):
-    """Row-by-row parse; returns (samples, warnings) or raises."""
+    """Row-by-row parse; returns (rows, warnings) or raises. A row is a tuple
+    in ``ingest.COLUMNS`` order."""
     opts = options or ParseOptions()
     samples = []
     warnings = []
@@ -53,16 +52,16 @@ def reference_parse(text, options=None, source_id="<stream>"):
         if pressure < 0:
             raise ParseError(f"negative pressure {pressure}", lineno)
         if opts.derive_status_from_pressure:
-            status = PenStatus.ON_SURFACE if pressure > 0 else PenStatus.IN_AIR
+            status = 1 if pressure > 0 else 0
         else:
-            status = PenStatus(status_raw)
+            status = status_raw
         if last_t is not None:
             if t < last_t:
                 raise TimestampOrderError(f"timestamp {t} after {last_t}", lineno)
             if t == last_t:
                 warnings.append(ParseWarning(lineno, f"duplicate timestamp {t} dropped"))
                 continue
-        samples.append(Sample(x, y, t, status, azimuth, altitude, pressure))
+        samples.append((x, y, t, status, azimuth, altitude, pressure))
         last_t = t
     if not samples:
         raise EmptyInputError(f"{source_id}: no samples")
@@ -182,4 +181,4 @@ def test_serialize_parse_identity(cols):
     again = parse_session(text)
     assert again == stream
     assert serialize_session(again) == text
-    assert SampleStream(stream.samples) == stream
+    assert SampleStream.from_columns(*zip(*stream.samples)) == stream

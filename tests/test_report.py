@@ -6,9 +6,7 @@ import pytest
 from penair import (
     CohortSummary,
     Feature,
-    PenStatus,
     RunConfig,
-    Sample,
     SampleStream,
     StrokeClass,
     TableFormat,
@@ -134,11 +132,9 @@ def test_run_config_validation():
 
 
 def stream_from(times, statuses):
-    samples = tuple(
-        Sample(10 * i, 5 * i, t, PenStatus(s))
-        for i, (t, s) in enumerate(zip(times, statuses))
-    )
-    return SampleStream(samples)
+    index = range(len(times))
+    return SampleStream.from_columns([10 * i for i in index], [5 * i for i in index],
+                                     times, statuses)
 
 
 def count_polylines(svg_text):

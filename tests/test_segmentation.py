@@ -5,9 +5,7 @@ import pytest
 
 from penair import (
     InsufficientDataError,
-    PenStatus,
     RunConfig,
-    Sample,
     SampleStream,
     SegmentationConfig,
     StrokeClass,
@@ -18,10 +16,8 @@ from penair import (
 
 
 def stream_from(times, statuses):
-    samples = tuple(
-        Sample(i, i, t, PenStatus(s)) for i, (t, s) in enumerate(zip(times, statuses))
-    )
-    return SampleStream(samples)
+    index = range(len(times))
+    return SampleStream.from_columns(index, index, times, statuses)
 
 
 def stream_from_diffs(diffs, status=1):

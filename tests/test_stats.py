@@ -17,8 +17,8 @@ from penair import (
     compare_cohorts,
     exact_p,
     mann_whitney_u,
-    midranks,
 )
+from penair.stats import _doubled_ranks
 
 
 def pairwise_u(a, b):
@@ -51,16 +51,17 @@ def enumerated_p(a, b):
     return Fraction(extreme, total)
 
 
+# _doubled_ranks gives twice each midrank, so tied ranks stay integers
 def test_midranks_no_ties():
-    assert midranks([5, 1, 3]) == [3, 1, 2]
+    assert _doubled_ranks([5, 1, 3]) == ([6, 2, 4], (1, 1, 1))
 
 
 def test_midranks_tie_pair():
-    assert midranks([2, 2]) == [1.5, 1.5]
+    assert _doubled_ranks([2, 2]) == ([3, 3], (2,))
 
 
 def test_midranks_three_tie_groups():
-    assert midranks([1, 1, 2, 2, 3, 3]) == [1.5, 1.5, 3.5, 3.5, 5.5, 5.5]
+    assert _doubled_ranks([1, 1, 2, 2, 3, 3]) == ([3, 3, 7, 7, 11, 11], (2, 2, 2))
 
 
 def test_u_complete_separation():

@@ -7,7 +7,6 @@ from penair import (
     CohortSpec,
     CorpusSpec,
     IntRange,
-    PenStatus,
     PlanDistribution,
     StrokeClass,
     SynthSpec,
@@ -34,8 +33,8 @@ def spec(plan, period=2, jitter=0, seed=1, gap_factor=3.0):
 def test_single_surface_entry_counts():
     stream, gt = generate_session(spec([(S, 100)]))
     assert len(stream.samples) == 51
-    assert [s.t for s in stream.samples] == list(range(0, 102, 2))
-    assert all(s.status == PenStatus.ON_SURFACE for s in stream.samples)
+    assert stream.t == tuple(range(0, 102, 2))
+    assert stream.status == (1,) * 51
     assert gt.strokes == ((S, 0, 100),)
     assert gt.class_times[S] == 100
     assert gt.class_counts == {S: 1, A: 0, L: 0}
@@ -43,7 +42,7 @@ def test_single_surface_entry_counts():
 
 def test_long_entry_leaves_one_oversized_diff():
     stream, gt = generate_session(spec([(S, 100), (L, 50), (S, 100)]))
-    diffs = [b.t - a.t for a, b in zip(stream.samples, stream.samples[1:])]
+    diffs = [b - a for a, b in zip(stream.t, stream.t[1:])]
     assert diffs.count(52) == 1  # the planned 50 plus one sampling step
     assert all(d == 2 for d in diffs if d != 52)
     long = [st for st in gt.strokes if st[0] is L]
@@ -63,7 +62,7 @@ def test_same_seed_is_byte_identical():
 
 def test_jitter_bounds_every_step():
     stream, gt = generate_session(spec([(S, 400), (A, 200), (S, 300)], period=5, jitter=2, seed=3))
-    diffs = [b.t - a.t for a, b in zip(stream.samples, stream.samples[1:])]
+    diffs = [b - a for a, b in zip(stream.t, stream.t[1:])]
     assert all(3 <= d <= 7 for d in diffs)
     assert gt.class_counts == {S: 2, A: 1, L: 0}
 
@@ -95,11 +94,11 @@ def test_segmentation_recovers_ground_truth():
 
 def test_air_samples_have_zero_pressure():
     stream, _ = generate_session(spec([(S, 100), (A, 60), (S, 80)], jitter=1, seed=4))
-    for s in stream.samples:
-        if s.status == PenStatus.IN_AIR:
-            assert s.pressure == 0
+    for status, pressure in zip(stream.status, stream.pressure):
+        if status == 0:
+            assert pressure == 0
         else:
-            assert s.pressure >= 150
+            assert pressure >= 150
 
 
 def test_eleven_planned_gaps_detected():
@@ -299,3 +298,30 @@ def test_corpus_spec_gap_factor_is_exact():
                             "gap_ticks = 500\n").gap_factor == Fraction(87, 20)
     with pytest.raises(SynthSpecError):
         load_corpus_spec(text.replace("4.35", "1/0"))
+
+
+def test_corpus_labels_are_literal_and_checked():
+    text = """
+[corpus]
+period = 2
+database = 50% sample
+task = %(x)s
+
+[cohort only]
+files = 1
+surface_strokes = 1
+surface_ticks = 50
+air_ticks = 20
+gaps = 0
+gap_ticks = 30
+"""
+    cs = load_corpus_spec(text)
+    assert (cs.database, cs.task) == ("50% sample", "%(x)s")
+    # the manifest refuses empty labels, and a cohort name starts file names
+    for old, new in (("50% sample", ""), ("%(x)s", " "), ("[cohort only]", "[cohort   ]"),
+                     ("[cohort only]", "[cohort ../up]"), ("[cohort only]", "[cohort a\x00b]"),
+                     ("[cohort only]", "[cohort a\\b]")):
+        with pytest.raises(SynthSpecError):
+            load_corpus_spec(text.replace(old, new))
+    with pytest.raises(SynthSpecError, match="must not be empty"):
+        CorpusSpec(nominal_period=2, jitter=0, cohorts=small_corpus_spec().cohorts, task="")
