@@ -89,8 +89,8 @@ class SampleStream:
 
     Holds one tuple of ints per column, in :data:`COLUMNS` order; ``status``
     is 1 on the surface and 0 in the air. ``samples`` views the same data as
-    rows. :meth:`from_columns` is the constructor; it checks that timestamps
-    strictly increase and raises ValueError otherwise.
+    rows. :meth:`from_columns` is the constructor; it holds the columns to the
+    parser's rules and raises ValueError naming the first sample that breaks one.
     """
 
     x: tuple[int, ...]
@@ -134,7 +134,7 @@ class SampleStream:
 
 
 def _checked_columns(source_id: str, *columns) -> tuple[tuple[int, ...], ...]:
-    # the checks of a hand-built stream; the parser makes its own as it reads
+    # the checks of a hand-built stream: its shape, then the parser's rules
     t = tuple(columns[2])
     if not t:
         raise EmptyInputError(f"{source_id}: no samples")
@@ -142,12 +142,30 @@ def _checked_columns(source_id: str, *columns) -> tuple[tuple[int, ...], ...]:
     columns = tuple(zeros if c is None else tuple(c) for c in columns)
     if any(len(c) != len(t) for c in columns):
         raise ValueError(f"{source_id}: columns differ in length")
-    if not all(map(lt, t, islice(t, 1, None))):
-        prev, cur = next((a, b) for a, b in zip(t, t[1:]) if b <= a)
-        raise ValueError(
-            f"{source_id}: timestamps must strictly increase ({prev} then {cur})"
-        )
+    if not _follows_rules(t, columns[3], columns[6]):
+        for i, row in enumerate(zip((None,) + t, t, columns[3], columns[6])):
+            if fault := _row_fault(*row):
+                raise ValueError(f"{source_id}: sample {i}: {fault[1]}")
     return columns
+
+
+def _follows_rules(t, status, pressure, last_t=None) -> bool:
+    # the recording rules over int columns: status is 0 or 1, pressure >= 0,
+    # and timestamps strictly increase after last_t
+    return ({*status} <= {0, 1} and min(pressure, default=0) >= 0
+            and (last_t is None or t[0] > last_t) and all(map(lt, t, islice(t, 1, None))))
+
+
+def _row_fault(last_t, t, status, pressure):
+    # the first recording rule one row breaks, in a row-by-row reader's order,
+    # as (exception type, message); None if it breaks none
+    if status not in (0, 1):
+        return ParseError, f"status must be 0 or 1, got {status}"
+    if pressure < 0:
+        return ParseError, f"negative pressure {pressure}"
+    if last_t is not None and t <= last_t:
+        return TimestampOrderError, f"timestamp {t} after {last_t}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -206,14 +224,8 @@ class _ColumnBuilder:
             block = [tuple(map(int, column)) for column in zip(*rows)]
         except ValueError:
             return None
-        t = block[2]
-        if not {*block[3]} <= {0, 1} or (width == 7 and min(block[6]) < 0):
-            return None
-        if self.last_t is not None and t[0] <= self.last_t:
-            return None
-        if not all(map(lt, t, islice(t, 1, None))):
-            return None
-        return block
+        pressure = block[6] if width == 7 else ()
+        return block if _follows_rules(block[2], block[3], pressure, self.last_t) else None
 
     def _reject(self, raw: str, fields: list[str], lineno: int) -> None:
         # one non-blank row that failed _valid_block; the checks run in the
@@ -229,15 +241,11 @@ class _ColumnBuilder:
                 values.append(int(field))
             except ValueError:
                 raise ParseError(_bad_field(field, raw), lineno) from None
-        t, status_raw = values[2], values[3]
+        t = values[2]
         pressure = values[6] if len(values) == 7 else 0
-        if status_raw not in (0, 1):
-            raise ParseError(f"status must be 0 or 1, got {status_raw}", lineno)
-        if pressure < 0:
-            raise ParseError(f"negative pressure {pressure}", lineno)
-        # only the order check is left, so t <= last_t
-        if t < self.last_t:
-            raise TimestampOrderError(f"timestamp {t} after {self.last_t}", lineno)
+        error, message = _row_fault(self.last_t, t, values[3], pressure)
+        if error is not TimestampOrderError or t < self.last_t:
+            raise error(message, lineno)
         self.warnings.append(ParseWarning(lineno, f"duplicate timestamp {t} dropped"))
 
 

@@ -6,9 +6,11 @@ samples and warnings, or raise the same exception with the same message and
 line number.
 """
 
+import re
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from penair import (
     EmptyInputError,
@@ -18,6 +20,7 @@ from penair import (
     SampleStream,
     TimestampOrderError,
     parse_session,
+    segment,
     serialize_session,
 )
 from penair import ingest
@@ -182,3 +185,68 @@ def test_serialize_parse_identity(cols):
     assert again == stream
     assert serialize_session(again) == text
     assert SampleStream.from_columns(*zip(*stream.samples)) == stream
+
+
+@st.composite
+def rule_columns(draw):
+    """Seven int columns whose rows mostly keep the recording rules: status
+    from {-1, 0, 1, 2}, pressure from [-2, 5], and timestamp steps that now
+    and then repeat or go back."""
+    n = draw(st.integers(1, 20))
+    t, ts = draw(st.integers(-20, 20)), []
+    for _ in range(n):
+        ts.append(t)
+        t += draw(st.sampled_from((1, 2, 3, 7) * 5 + (0, -1, -3)))
+    ints = st.lists(st.integers(-50, 50), min_size=n, max_size=n)
+    return (draw(ints), draw(ints), ts,
+            draw(st.lists(st.sampled_from((0, 1) * 10 + (-1, 2)), min_size=n, max_size=n)),
+            draw(ints), draw(ints),
+            draw(st.lists(st.sampled_from(tuple(range(6)) * 4 + (-2, -1)),
+                          min_size=n, max_size=n)))
+
+
+_RULE_BREAKS = {  # columns breaking one rule at sample 1, with from_columns' message
+    "status 2": (([0, 1, 2], [0] * 3, [1, 2, 3], [1, 2, 1], [0] * 3, [0] * 3, [1, 1, 1]),
+                 "s: sample 1: status must be 0 or 1, got 2"),
+    "status -1": (([0, 1, 2], [0] * 3, [1, 2, 3], [1, -1, 1], [0] * 3, [0] * 3, [1, 1, 1]),
+                  "s: sample 1: status must be 0 or 1, got -1"),
+    "negative pressure": (([0, 1], [0, 0], [1, 2], [1, 1], [0, 0], [0, 0], [3, -2]),
+                          "s: sample 1: negative pressure -2"),
+    "repeated timestamp": (([0, 1], [0, 0], [4, 4], [1, 1], [0, 0], [0, 0], [3, 3]),
+                           "s: sample 1: timestamp 4 after 4"),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_columns())
+@example(_RULE_BREAKS["status 2"][0])
+@example(_RULE_BREAKS["status -1"][0])
+@example(_RULE_BREAKS["negative pressure"][0])
+@example(_RULE_BREAKS["repeated timestamp"][0])
+def test_from_columns_keeps_the_parsers_rules(cols):
+    # one sample per line, so sample i is line i + 1
+    lines = list(map("{} {} {} {} {} {} {}".format, *cols))
+    try:
+        parsed = parse_session("\n".join(lines))
+        first_line = parsed.warnings[0].line if parsed.warnings else None
+    except ParseError as exc:
+        # a duplicate before the faulty line warned first
+        before = parse_session("\n".join(lines[:exc.line - 1])).warnings if exc.line > 1 else ()
+        parsed, first_line = None, before[0].line if before else exc.line
+    try:
+        stream = SampleStream.from_columns(*cols)
+    except ValueError as exc:
+        assert first_line is not None
+        assert int(re.match(r"<stream>: sample (\d+): ", str(exc))[1]) == first_line - 1
+    else:
+        assert first_line is None
+        assert stream == parsed
+        segment(stream)  # a stream from_columns accepts segments without IndexError
+
+
+@pytest.mark.parametrize("name", sorted(_RULE_BREAKS))
+def test_from_columns_names_the_sample_and_rule(name):
+    cols, message = _RULE_BREAKS[name]
+    with pytest.raises(ValueError) as info:
+        SampleStream.from_columns(*cols, source_id="s")
+    assert str(info.value) == message
