@@ -65,7 +65,8 @@ def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a number: {text!r}") from None
+        # argparse prints this message; a ValueError's it would replace with the function name
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -174,7 +174,8 @@ class ParseOptions:
 
     derive_status_from_pressure: ignore the status column and mark a sample
     on-surface exactly when its pressure is positive. Useful for recordings
-    whose status column is unreliable.
+    whose status column is unreliable. A four-column file has no pressure to
+    derive from, so parsing it with this option raises ParseError.
     """
 
     derive_status_from_pressure: bool = False
@@ -269,7 +270,9 @@ def parse_session(
     and recorded in ``stream.warnings``. Blank lines are skipped. Raises
     ParseError for a malformed row or a column count that changes mid-file,
     TimestampOrderError when timestamps decrease, and EmptyInputError when no
-    sample rows remain. Four-column files get zero-filled auxiliary columns.
+    sample rows remain. Four-column files get zero-filled auxiliary columns;
+    with ``derive_status_from_pressure`` they are a ParseError naming
+    ``source_id``.
     """
     opts = options or ParseOptions()
     builder = _ColumnBuilder()
@@ -284,6 +287,9 @@ def parse_session(
     n = len(columns[2])
     if not n:
         raise EmptyInputError(f"{source_id}: no samples")
+    if opts.derive_status_from_pressure and builder.width == 4:
+        raise ParseError(f"{source_id}: deriving status needs the pressure column; "
+                         "the file has 4 columns")
     zeros = (0,) * n
     for k, column in enumerate(columns):  # one column's list and tuple alive at a time
         columns[k] = tuple(column) if column else zeros

@@ -73,6 +73,15 @@ def test_bad_flag_value_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--gap-factor", "--anomaly-threshold"])
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+def test_unreadable_fraction_flag_says_not_a_number(tmp_path, capsys, flag, value):
+    assert main(["segment", str(write_session(tmp_path)), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {flag}: not a number: {value!r}\n")
+
+
 def test_parse_reports_summary(tmp_path, capsys):
     path = write_session(tmp_path)
     assert main(["parse", str(path)]) == 0
@@ -131,6 +140,19 @@ def test_derive_status_from_pressure_flag(tmp_path, capsys):
     assert main(["segment", str(path), "--derive-status-from-pressure"]) == 0
     derived = capsys.readouterr().out
     assert "on_surface" in derived
+
+
+def test_derive_status_refuses_four_column_file(tmp_path, capsys):
+    # a four-column file has no pressure: deriving from it would mark every sample in-air
+    path = write_session(tmp_path, text="0 0 0 1\n1 1 2 1\n2 2 4 0\n")
+    message = f"error: {path}: deriving status needs the pressure column; the file has 4 columns\n"
+    assert main(["segment", str(path), "--derive-status-from-pressure"]) == 2
+    assert capsys.readouterr() == ("", message)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,database,task,subject,cohort\n"
+                        "rec.svc,db,copy,s0,control\n", encoding="utf-8")
+    assert main(["features", str(manifest), "--derive-status-from-pressure"]) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

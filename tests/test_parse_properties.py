@@ -68,6 +68,9 @@ def reference_parse(text, options=None, source_id="<stream>"):
         last_t = t
     if not samples:
         raise EmptyInputError(f"{source_id}: no samples")
+    if opts.derive_status_from_pressure and width == 4:
+        raise ParseError(f"{source_id}: deriving status needs the pressure column; "
+                         "the file has 4 columns")
     return tuple(samples), tuple(warnings)
 
 
