@@ -65,7 +65,7 @@ def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        # argparse prints this message; a ValueError's it would replace with the function name
+        # argparse prints this type's message but reports a ValueError as "invalid _fraction value"
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
