@@ -4,7 +4,9 @@ Subcommands: parse, segment, features, aggregate, compare, synth, render.
 Data goes to stdout (or --out PATH); diagnostics go to stderr. Exit codes:
 0 success, 1 usage error, 2 parse/format error, 3 empty-cohort or
 degenerate-data error. Manifest commands read their files in one forked
-process per usable CPU; output and warnings keep manifest order.
+process per usable CPU; output and warnings keep manifest order. A command
+imports only the modules it runs: synth and the rank tests load in their
+handlers, pickle only when fanning out.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ from __future__ import annotations
 import argparse
 import gc
 import os
-import pickle
 import sys
-import traceback
 from fractions import Fraction
 from itertools import islice
 from operator import ne
@@ -44,8 +44,6 @@ from .report import (
     render_trajectories,
 )
 from .segmentation import segment
-from .stats import compare_cohorts
-from .synth import generate_corpus, read_corpus_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,9 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict the comparison to one database label")
     p.set_defaults(handler=_cmd_compare)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus with a manifest")
+    # synth takes its knobs from the spec, so none of the common flags
+    p = sub.add_parser("synth", help="generate a synthetic corpus with a manifest")
     p.add_argument("--spec", required=True, metavar="FILE", help="corpus description (INI format)")
     p.add_argument("--seed", required=True, type=int, metavar="N")
+    p.add_argument("--out", required=True, metavar="DIR",
+                   help="directory for the recordings and manifest.csv")
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("render", parents=[common], help="render one recording's trajectories to SVG")
@@ -210,6 +211,8 @@ def _fan_out(records, workers: int, context) -> list:
     exception stay None; the caller stops at that exception first."""
     # raw fork, not a multiprocessing pool: the CLI runs no threads, and a
     # pool's import and start-up ate most of the saving when measured
+    import pickle  # before the fork, so the children inherit it loaded
+
     children = []
     for w in range(workers):
         read_fd, write_fd = os.pipe()
@@ -237,11 +240,15 @@ def _fan_out(records, workers: int, context) -> list:
 def _run_child(share, context, write_fd: int) -> NoReturn:
     # never returns into the CLI and never writes to stdout or stderr: a
     # child that got back to main would print the table a second time
+    import pickle
+
     status = 1
     try:
         try:
             results = _reduce_files(share, *context)
         except Exception:  # a bug: the parent raises it with this traceback
+            import traceback
+
             results = [RuntimeError(f"worker process failed:\n{traceback.format_exc()}")]
         with open(write_fd, "wb") as pipe:
             pickle.dump(results, pipe)
@@ -315,6 +322,8 @@ def _cmd_compare(args, cfg: RunConfig) -> int:
             f"no files for cohort {args.cohort_a!r}" if not side_a
             else f"no files for cohort {args.cohort_b!r}"
         )
+    from .stats import compare_cohorts
+
     tasks = sorted({v.source.task for v in side_a} | {v.source.task for v in side_b})
     results = [
         compare_cohorts(side_a, side_b, task, feature, cfg.exact_limit)
@@ -346,10 +355,9 @@ def _number(x: float) -> str:
     return str(int(x)) if x == int(x) else repr(x)
 
 
-def _cmd_synth(args, cfg: RunConfig) -> int:
-    if not args.out:
-        sys.stderr.write("error: synth requires --out DIR\n")
-        return EXIT_USAGE
+def _cmd_synth(args, cfg: None) -> int:
+    from .synth import generate_corpus, read_corpus_spec
+
     spec = read_corpus_spec(args.spec)
     manifest = generate_corpus(spec, args.out, args.seed)
     sys.stdout.write(f"{manifest}\n")
@@ -371,7 +379,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # raised by --help (0) and usage errors (1)
         return int(exc.code or 0)
     try:
-        cfg = _run_config(args)
+        cfg = None if args.command == "synth" else _run_config(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

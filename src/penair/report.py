@@ -11,12 +11,14 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .features import AnomalyPolicy, CohortSummary, Feature
 from .ingest import SampleStream
 from .segmentation import SegmentationConfig, SessionSegmentation, StrokeClass
-from .stats import RankTestResult
+
+if TYPE_CHECKING:  # annotations only: a table renderer does not load the rank tests
+    from .stats import RankTestResult
 
 
 class TableFormat:

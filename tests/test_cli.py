@@ -174,6 +174,22 @@ def test_synth_requires_out(tmp_path, capsys):
     spec = tmp_path / "corpus.ini"
     spec.write_text(CORPUS_INI, encoding="utf-8")
     assert main(["synth", "--spec", str(spec), "--seed", "1"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: --out\n")
+
+
+@pytest.mark.parametrize("flag", [["--gap-factor", "0.5"], ["--gap-factor", "9"],
+                                  ["--format", "md"], ["--derive-status-from-pressure"]])
+def test_synth_refuses_the_common_flags_it_would_ignore(tmp_path, capsys, flag):
+    # synth takes its gap factor from the spec: a flag it cannot honour is a usage error
+    spec = tmp_path / "corpus.ini"
+    spec.write_text(CORPUS_INI, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["synth", "--spec", str(spec), "--seed", "1", "--out", str(out), *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
+    assert not out.exists()
 
 
 def test_synth_bad_spec_exits_two(tmp_path, capsys):
@@ -398,6 +414,43 @@ def run_cli_in_fresh_interpreter(prelude, argv):
                           env=env, timeout=60)
 
 
+def modules_loaded_by(tmp_path, argv):
+    """Names in sys.modules once cli.main(argv) has run in a fresh interpreter."""
+    listing = tmp_path / "modules.txt"
+    prelude = ("import atexit\n"
+               f"atexit.register(lambda: open({str(listing)!r}, 'w').write(' '.join(sys.modules)))")
+    done = run_cli_in_fresh_interpreter(prelude, argv)
+    assert done.returncode == 0, done.stderr
+    return set(listing.read_text().split())
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    manifest = make_corpus(tmp_path)
+    recording = str(manifest.parent / "control_000.svc")
+    to = ["--out", str(tmp_path / "output")]
+    synth = {"penair.synth", "hashlib", "configparser"}
+    single = synth | {"penair.stats", "pickle"}  # a one-recording command
+    runs = {  # command: (argv, modules it loads, modules it must not load)
+        "parse": (["parse", recording, *to], {"penair.ingest"}, single),
+        "segment": (["segment", recording, *to], {"penair.segmentation"}, single),
+        "render": (["render", recording, *to], {"penair.report"}, single),
+        # run_cli_in_fresh_interpreter gives two workers, so these fan out
+        "features": (["features", str(manifest), *to], {"pickle"}, synth | {"penair.stats"}),
+        "aggregate": (["aggregate", str(manifest), *to], {"pickle"}, synth | {"penair.stats"}),
+        "compare": (["compare", str(manifest), "--cohort-a", "control", "--cohort-b", "patient",
+                     *to], {"penair.stats", "pickle"}, synth),
+        "synth": (["synth", "--spec", str(tmp_path / "corpus.ini"), "--seed", "1",
+                   "--out", str(tmp_path / "again")], synth, set()),
+    }
+    # what a bare interpreter loads (site hooks, say) is not penair's doing
+    bare = set(subprocess.run([sys.executable, "-c", "import sys; print(' '.join(sys.modules))"],
+                              capture_output=True, text=True, check=True, timeout=60).stdout.split())
+    for command, (argv, needed, refused) in runs.items():
+        loaded = modules_loaded_by(tmp_path, argv)
+        assert needed <= loaded, command
+        assert not refused & (loaded - bare), command
+
+
 def test_worker_that_dies_without_result_fails_the_run(tmp_path):
     manifest = make_corpus(tmp_path)
     prelude = ("real = cli._reduce_files\n"
@@ -540,7 +593,7 @@ def test_main_leaves_collector_as_it_found_it(tmp_path, capsys, monkeypatch, res
     cases = [
         (["parse", str(good)], 0),
         (["bogus"], 1),  # a usage error, before any command runs
-        (["synth", "--spec", "any.ini", "--seed", "1"], 1),  # a usage error from a command
+        (["synth", "--spec", "any.ini", "--seed", "1"], 1),  # no --out: a usage error
         (["parse", str(bad)], 2),
         (["aggregate", str(empty)], 3),
     ]
