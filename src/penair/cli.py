@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     PenAirError,
 )
-from .features import Feature, aggregate_cohort, feature_vector
+from .features import AnomalyPolicy, Feature, aggregate_cohort, feature_vector
 from .ingest import (
     ParseOptions,
     ParseWarning,
@@ -43,7 +43,7 @@ from .report import (
     render_time_table,
     render_trajectories,
 )
-from .segmentation import segment
+from .segmentation import SegmentationConfig, segment
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,12 +69,14 @@ def _fraction(text: str) -> Fraction:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--gap-factor", type=_fraction, default=Fraction(3), metavar="F",
-                        help="gap threshold multiple of the modal period (default 3)")
+    common.add_argument("--gap-factor", type=_fraction, default=SegmentationConfig.gap_factor,
+                        metavar="F", help="gap threshold multiple of the modal period "
+                        f"(default {SegmentationConfig.gap_factor})")
     common.add_argument("--min-gap-ticks", type=int, default=None, metavar="N",
-                        help="absolute floor for the gap threshold (default period+1)")
-    common.add_argument("--anomaly-threshold", type=_fraction, default=Fraction(7, 10),
-                        metavar="R", help="in-air-long share marking a file anomalous (default 0.7)")
+                        help="absolute floor for the gap threshold (default none)")
+    common.add_argument("--anomaly-threshold", type=_fraction, default=AnomalyPolicy.threshold,
+                        metavar="R", help="in-air-long share marking a file anomalous "
+                        f"(default {float(AnomalyPolicy.threshold):g})")
     common.add_argument("--exact-limit", type=int, default=20, metavar="N",
                         help="largest pooled size for the exact test (default 20)")
     common.add_argument("--format", choices=[TableFormat.CSV, TableFormat.MARKDOWN],

@@ -33,16 +33,16 @@ class RunConfig:
     The significance level is fixed; it is not a knob.
     """
 
-    gap_factor: Fraction = Fraction(3)
+    gap_factor: Fraction = SegmentationConfig.gap_factor
     min_gap_ticks: int | None = None
-    anomaly_threshold: Fraction = Fraction(7, 10)
+    anomaly_threshold: Fraction = AnomalyPolicy.threshold
     exact_limit: int = 20
     table_format: str = TableFormat.CSV
 
     def __post_init__(self):
         # fail fast on bad flag values; constructors re-validate on use
         object.__setattr__(self, "gap_factor", self.segmentation_config().gap_factor)
-        self.anomaly_policy()
+        object.__setattr__(self, "anomaly_threshold", self.anomaly_policy().threshold)
         if self.exact_limit < 2:
             raise ValueError(f"exact limit must be >= 2, got {self.exact_limit}")
         if self.table_format not in (TableFormat.CSV, TableFormat.MARKDOWN):

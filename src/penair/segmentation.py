@@ -55,11 +55,11 @@ class Gap(NamedTuple):
 class SegmentationConfig:
     """Gap detection knobs.
 
-    An interval is a gap when it exceeds
-    ``max(gap_factor * modal_period, min_gap_ticks)`` strictly.
-    ``min_gap_ticks`` defaults to modal_period + 1, so at the default settings
-    nothing under twice the sampling period can ever be a gap. ``gap_factor``
-    is held as an exact Fraction, so the boundary is exact.
+    An interval is a gap when it strictly exceeds ``gap_factor`` times the
+    modal period, raised to ``min_gap_ticks`` only when that is given; without
+    it the strokes do not depend on the tick unit. ``gap_factor > 1`` keeps
+    one-period steps out of the gaps, and is held as an exact Fraction, so
+    the boundary is exact.
     """
 
     gap_factor: Fraction = Fraction(3)
@@ -73,8 +73,8 @@ class SegmentationConfig:
             raise ValueError("min_gap_ticks must be >= 1")
 
     def gap_threshold(self, period: int) -> Fraction | int:
-        floor_ticks = self.min_gap_ticks if self.min_gap_ticks is not None else period + 1
-        return max(self.gap_factor * period, floor_ticks)
+        threshold = self.gap_factor * period
+        return threshold if self.min_gap_ticks is None else max(threshold, self.min_gap_ticks)
 
 
 @dataclass(frozen=True)

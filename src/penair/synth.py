@@ -27,13 +27,7 @@ from pathlib import Path
 
 from .errors import SynthSpecError
 from .ingest import MANIFEST_HEADER, SampleStream, read_text, serialize_session
-from .segmentation import (
-    SegmentationConfig,
-    StrokeClass,
-    as_fraction,
-    detect_gaps,
-    nominal_period,
-)
+from .segmentation import SegmentationConfig, StrokeClass, detect_gaps, nominal_period
 
 
 def file_seed(master_seed: int, label: str) -> int:
@@ -50,28 +44,30 @@ class SynthSpec:
     start or end with IN_AIR_LONG (a gap with no sample on one side leaves no
     trace in the data) and may not repeat a class back to back. jitter is the
     maximum +/- applied to each sampling step; it must keep steps positive
-    and must satisfy period + jitter <= gap_factor * (period - jitter), so no
-    legitimate step can reach the gap threshold even in the worst realized
-    modal period. Long entries must exceed gap_factor * (period + jitter).
+    and keep period + jitter within the gap threshold at a modal period of
+    period - jitter, the worst realized one, so no legitimate step can reach
+    it. Long entries must exceed the threshold at period + jitter.
     """
 
     nominal_period: int
     jitter: int
     stroke_plan: tuple[tuple[StrokeClass, int], ...]
     seed: int
-    gap_factor: Fraction = Fraction(3)
+    gap_factor: Fraction = SegmentationConfig.gap_factor
 
     def __post_init__(self):
         object.__setattr__(self, "stroke_plan", tuple(tuple(e) for e in self.stroke_plan))
-        object.__setattr__(self, "gap_factor", as_fraction(self.gap_factor))
-        p, j, gf = self.nominal_period, self.jitter, self.gap_factor
+        p, j = self.nominal_period, self.jitter
         if p < 1:
             raise SynthSpecError(f"nominal_period must be >= 1, got {p}")
-        if not gf > 1:
-            raise SynthSpecError(f"gap_factor must be > 1, got {gf}")
+        try:
+            cfg = SegmentationConfig(self.gap_factor)
+        except ValueError as exc:
+            raise SynthSpecError(str(exc)) from None
+        object.__setattr__(self, "gap_factor", cfg.gap_factor)
         if j < 0 or p - j < 1:
             raise SynthSpecError(f"jitter must be in [0, period), got {j}")
-        if p + j > gf * (p - j):
+        if p + j > cfg.gap_threshold(p - j):
             raise SynthSpecError(
                 f"jitter {j} could blur gap detection: need "
                 f"period + jitter <= gap_factor * (period - jitter)"
@@ -79,15 +75,16 @@ class SynthSpec:
         plan = self.stroke_plan
         if not plan:
             raise SynthSpecError("stroke plan is empty")
+        worst = cfg.gap_threshold(p + j)
         for cls, dur in plan:
             if not isinstance(cls, StrokeClass):
                 raise SynthSpecError(f"bad stroke class {cls!r}")
             if dur < 1:
                 raise SynthSpecError(f"stroke durations must be >= 1, got {dur}")
-            if cls is StrokeClass.IN_AIR_LONG and not dur > gf * (p + j):
+            if cls is StrokeClass.IN_AIR_LONG and not dur > worst:
                 raise SynthSpecError(
                     f"in-air-long duration {dur} must exceed the worst-case "
-                    f"gap threshold {gf * (p + j)}"
+                    f"gap threshold {worst}"
                 )
         for (a, _), (b, _) in zip(plan, plan[1:]):
             if a is b:
@@ -289,7 +286,7 @@ class CorpusSpec:
     cohorts: dict[str, CohortSpec]
     database: str = "synth"
     task: str = "synth"
-    gap_factor: Fraction = Fraction(3)
+    gap_factor: Fraction = SegmentationConfig.gap_factor
 
     def __post_init__(self):
         if not self.cohorts:
@@ -300,6 +297,16 @@ class CorpusSpec:
         for name in self.cohorts:  # a cohort name starts its files' names
             if {"/", "\\", "\0"} & set(name):
                 raise SynthSpecError(f"cohort name {name!r} holds '/', '\\' or NUL")
+        # each range's smallest draw, so that no seed can draw an entry SynthSpec refuses
+        for name, cohort in self.cohorts.items():
+            dist = cohort.plan
+            surface = (StrokeClass.ON_SURFACE, dist.surface_ticks.lo)
+            shortest = (surface, (StrokeClass.IN_AIR_SHORT, dist.air_ticks.lo), surface,
+                        (StrokeClass.IN_AIR_LONG, dist.gap_ticks.lo), surface)
+            try:
+                SynthSpec(self.nominal_period, self.jitter, shortest, 0, self.gap_factor)
+            except SynthSpecError as exc:
+                raise SynthSpecError(f"cohort {name!r}: {exc}") from None
 
 
 def generate_corpus(
@@ -307,9 +314,9 @@ def generate_corpus(
 ) -> Path:
     """Write one file per cohort member plus ``manifest.csv``; returns the
     manifest path. Fully determined by (spec, master_seed): same inputs give
-    byte-identical files."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    byte-identical files. Every session is generated before anything is
+    written, so a session the generator refuses leaves no files behind."""
+    texts: list[str] = []
     rows: list[tuple[str, str, str, str, str]] = []
     for cohort_name, cohort in spec.cohorts.items():
         for i in range(cohort.n_files):
@@ -322,9 +329,13 @@ def generate_corpus(
                 gap_factor=spec.gap_factor,
             )
             stream, _ = generate_session(session)
+            texts.append(serialize_session(stream))
             name = f"{cohort_name}_{i:03d}.svc"
-            (out / name).write_text(serialize_session(stream), encoding="utf-8")
             rows.append((name, spec.database, spec.task, f"{cohort_name}_{i:03d}", cohort_name))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for (name, *_), text in zip(rows, texts):
+        (out / name).write_text(text, encoding="utf-8")
     manifest = out / "manifest.csv"
     with open(manifest, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -373,7 +384,7 @@ def load_corpus_spec(text: str) -> CorpusSpec:
     try:
         period = corpus.getint("period")
         jitter = corpus.getint("jitter", 0)
-        gap_factor = Fraction(corpus.get("gap_factor", "3").strip())
+        gap_factor = Fraction(corpus.get("gap_factor", str(CorpusSpec.gap_factor)).strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise SynthSpecError(f"[corpus]: {exc}") from None
     if period is None:

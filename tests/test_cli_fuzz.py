@@ -209,6 +209,7 @@ def test_synth_keeps_exit_contract_and_its_corpus_reads_back(spec, seed):
         assert "Traceback" not in err
         if code != 0:
             assert out == ""
+            assert not (Path(tmp) / "out").exists()  # a refused spec writes nothing
             return
         # whatever synth writes, penair's own readers accept
         code, out, err = run(["features", out.removesuffix("\n")])

@@ -3,9 +3,18 @@
 from fractions import Fraction
 from itertools import accumulate
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from penair import SampleStream, SegmentationConfig, StrokeClass, segment
+from penair import (
+    AnomalyPolicy,
+    Feature,
+    SampleStream,
+    SegmentationConfig,
+    StrokeClass,
+    compare_cohorts,
+    feature_vector,
+    segment,
+)
 
 
 @st.composite
@@ -58,3 +67,67 @@ def test_long_strokes_never_rise_with_gap_factor(stream, f1, f2, floor_ticks):
         return seg.class_counts[StrokeClass.IN_AIR_LONG]
 
     assert long_strokes(high) <= long_strokes(low)
+
+
+def features(stream, cfg, policy=None):
+    return feature_vector(segment(stream, cfg), policy)
+
+
+# intervals 1 1 1 2 1 1: at gap_factor 3/2 the step of 2 is a gap in any tick unit
+SEVEN_SAMPLES = SampleStream.from_columns(range(7), range(7), [0, 1, 2, 3, 5, 6, 7], [1] * 7)
+TIMES = (Feature.TIME_ON_SURFACE, Feature.TIME_IN_AIR_SHORT, Feature.TIME_IN_AIR_LONG)
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams(), gap_factors, min_gap_ticks, st.integers(-10**6, 10**6))
+@example(SEVEN_SAMPLES, Fraction(3, 2), None, 10**6)
+def test_translating_time_keeps_every_feature(stream, factor, floor_ticks, shift):
+    moved = SampleStream.from_columns(stream.x, stream.y, [t + shift for t in stream.t],
+                                      stream.status)
+    cfg = SegmentationConfig(factor, floor_ticks)
+    assert features(moved, cfg) == features(stream, cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams(), gap_factors, st.integers(1, 1000))
+@example(SEVEN_SAMPLES, Fraction(3, 2), 1000)
+def test_scaling_time_scales_every_time_and_keeps_every_count(stream, factor, k):
+    scaled = SampleStream.from_columns(stream.x, stream.y, [t * k for t in stream.t],
+                                       stream.status)
+    cfg = SegmentationConfig(factor)
+    base, big = features(stream, cfg), features(scaled, cfg)
+    assert [big.value(f) for f in Feature] == [
+        base.value(f) * (k if f in TIMES else 1) for f in Feature
+    ]
+    assert big.anomalous == base.anomalous
+
+
+@settings(max_examples=100, deadline=None)
+@given(streams(), gap_factors, min_gap_ticks, st.data())
+def test_features_ignore_position_angles_and_pressure(stream, factor, floor_ticks, data):
+    # status comes from its own column, so pressure is one more ignored column
+    def column(lo):
+        return data.draw(st.lists(st.integers(lo, 10**6), min_size=len(stream.t),
+                                  max_size=len(stream.t)))
+
+    other = SampleStream.from_columns(column(-10**6), column(-10**6), stream.t, stream.status,
+                                      column(-10**6), column(-10**6), column(0))
+    cfg = SegmentationConfig(factor, floor_ticks)
+    assert features(other, cfg) == features(stream, cfg)
+
+
+cohorts = st.lists(streams(), min_size=1, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cohorts, cohorts, gap_factors, st.sampled_from(Feature), st.integers(2, 20))
+def test_swapping_cohorts_swaps_u_and_keeps_p_and_verdict(side_a, side_b, factor, feature,
+                                                           exact_limit):
+    # at threshold 1 no file is anomalous, so every file takes part
+    cfg, policy = SegmentationConfig(factor), AnomalyPolicy(1)
+    a = [features(s, cfg, policy) for s in side_a]
+    b = [features(s, cfg, policy) for s in side_b]
+    ab = compare_cohorts(a, b, "t", feature, exact_limit)
+    ba = compare_cohorts(b, a, "t", feature, exact_limit)
+    assert (ba.p, ba.significant, ba.method) == (ab.p, ab.significant, ab.method)
+    assert (ba.u.u_a, ba.u.u_b, ba.u.n_a, ba.u.n_b) == (ab.u.u_b, ab.u.u_a, ab.u.n_b, ab.u.n_a)

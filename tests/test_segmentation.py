@@ -63,7 +63,7 @@ def test_gap_threshold_is_strict():
 
 
 def test_gap_floor_blocks_small_period_false_positives():
-    # period 1: max(3 * 1, period + 1) = 3, so a diff of 3 stays a step
+    # period 1: threshold 3 * 1 = 3, so a diff of 3 stays a step
     assert detect_gaps(stream_from_diffs([1, 1, 3, 1, 1])) == ()
     assert len(detect_gaps(stream_from_diffs([1, 1, 4, 1, 1]))) == 1
 
@@ -214,3 +214,4 @@ def test_gap_factor_boundary_is_exact():
     assert segment(stream, cfg).class_counts[StrokeClass.IN_AIR_LONG] == 1
     assert RunConfig(gap_factor=4.35).gap_factor == Fraction(87, 20)
     assert RunConfig(gap_factor=4.35).segmentation_config() == cfg
+    assert RunConfig(anomaly_threshold=0.7) == RunConfig()

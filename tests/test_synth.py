@@ -291,6 +291,20 @@ def test_corpus_spec_needs_cohorts():
         CohortSpec(0, small_corpus_spec().cohorts["control"].plan)
 
 
+def test_corpus_spec_refuses_a_range_some_draw_would_break():
+    # at period 2 and jitter 1 the worst-case gap threshold is 3 * 3 = 9
+    text = ("[corpus]\nperiod = 2\njitter = 1\n\n[cohort c]\nfiles = 3\n"
+            "surface_strokes = 2..4\nsurface_ticks = 100..300\nair_ticks = 50..150\n"
+            "gaps = 1..2\ngap_ticks = 10..60\n")
+    assert load_corpus_spec(text).cohorts["c"].plan.gap_ticks == IntRange(10, 60)
+    with pytest.raises(SynthSpecError, match="cohort 'c': in-air-long duration 9 must "
+                                             "exceed the worst-case gap threshold 9"):
+        load_corpus_spec(text.replace("10..60", "9..60"))
+    for key in ("surface_ticks = 100", "air_ticks = 50"):
+        with pytest.raises(SynthSpecError, match="cohort 'c': stroke durations must be >= 1"):
+            load_corpus_spec(text.replace(key, key.split("=")[0] + "= 0"))
+
+
 def test_corpus_spec_gap_factor_is_exact():
     text = "[corpus]\nperiod = 100\ngap_factor = 4.35\n"
     assert load_corpus_spec(text + "\n[cohort c]\nfiles = 1\nsurface_strokes = 1\n"
