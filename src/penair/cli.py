@@ -4,9 +4,16 @@ Subcommands: parse, segment, features, aggregate, compare, synth, render.
 Data goes to stdout (or --out PATH); diagnostics go to stderr. Exit codes:
 0 success, 1 usage error, 2 parse/format error, 3 empty-cohort or
 degenerate-data error. Manifest commands read their files in one forked
-process per usable CPU; output and warnings keep manifest order. A command
-imports only the modules it runs: synth and the rank tests load in their
-handlers, pickle only when fanning out.
+process per usable CPU; output and warnings keep manifest order. The
+single-file commands (parse, segment, render) split a large recording into
+one part per usable CPU at line ends; forked children parse every part but
+the first, which this process parses, and the parts are joined in file order
+(ingest.join_parts), so the output, warnings and exit code are those of a
+one-process parse. A recording under ingest's cutoff stays in one process,
+because forking and sending the columns back would cost more than they save;
+``taskset -c 0`` also gives one process. A command imports only the modules
+it runs: synth and the rank tests load in their handlers, pickle only when
+forking.
 """
 
 from __future__ import annotations
@@ -32,8 +39,13 @@ from .features import AnomalyPolicy, Feature, aggregate_cohort, feature_vector
 from .ingest import (
     ParseOptions,
     ParseWarning,
+    SampleStream,
+    join_parts,
+    parse_part,
     read_manifest,
     read_session,
+    read_text,
+    split_text,
 )
 from .report import (
     RunConfig,
@@ -155,9 +167,32 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_parse(args, cfg: RunConfig) -> int:
-    stream = read_session(args.file, _parse_options(args))
+def _read_recording(args) -> SampleStream:
+    """read_session of the single-file commands, its warnings printed. A text
+    that split_text cuts is parsed on every usable CPU: forked children parse
+    the parts after the first while this process parses the first."""
+    path = Path(args.file)
+    parts = split_text(read_text(path, ParseError), _usable_cpus())
+    parsed = _parse_apart(parts) if len(parts) > 1 else [None]
+    stream = join_parts(parts, parsed, _parse_options(args), source_id=str(path))
     _print_warnings(stream.warnings, args.file)
+    return stream
+
+
+def _parse_apart(parts: list[str]) -> list:
+    """parse_part of each part: the first in this process, the others in
+    forked children, all at once. A function of its own, so that the pickled
+    bytes are freed before the join."""
+    children = [_spawn(parse_part, part) for part in parts[1:]]
+    try:
+        head = parse_part(parts[0])
+    finally:  # reaped before anything is judged, even if this process failed
+        payloads = _reap(children)
+    return [head, *_received(payloads)]
+
+
+def _cmd_parse(args, cfg: RunConfig) -> int:
+    stream = _read_recording(args)
     t, status, pressure = stream.t, stream.status, stream.pressure
     header = ("source", "n_samples", "t_first", "t_last", "span",
               "status_transitions", "pressure_min", "pressure_max", "warnings")
@@ -169,9 +204,7 @@ def _cmd_parse(args, cfg: RunConfig) -> int:
 
 
 def _cmd_segment(args, cfg: RunConfig) -> int:
-    stream = read_session(args.file, _parse_options(args))
-    _print_warnings(stream.warnings, args.file)
-    seg = segment(stream, cfg.segmentation_config())
+    seg = segment(_read_recording(args), cfg.segmentation_config())
     header = ("class", "start_t", "end_t", "duration", "n_samples")
     rows = [
         (s.cls.value, str(s.start_t), str(s.end_t), str(s.duration), str(s.n_samples))
@@ -182,8 +215,11 @@ def _cmd_segment(args, cfg: RunConfig) -> int:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has
-    one (so ``taskset`` narrows it), else the machine's count."""
+    """CPUs this process may run workers on: its affinity mask where the
+    platform has one (so ``taskset`` narrows it), else the machine's count;
+    1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -207,39 +243,53 @@ def _reduce_files(records, opts: ParseOptions, seg_cfg, policy) -> list:
     return results
 
 
-def _fan_out(records, workers: int, context) -> list:
-    """``_reduce_files`` on ``records[w::workers]`` in one forked child per
-    share, merged back into manifest order. Entries after a share's
-    exception stay None; the caller stops at that exception first."""
+def _spawn(work, *args) -> tuple[int, int]:
+    """Fork a child that sends ``work(*args)`` back pickled (a bug as a
+    RuntimeError carrying its traceback) and exits. Returns its pid and the
+    read end of its pipe, for :func:`_reap`, which every caller runs on every
+    child it spawned."""
     # raw fork, not a multiprocessing pool: the CLI runs no threads, and a
     # pool's import and start-up ate most of the saving when measured
-    import pickle  # before the fork, so the children inherit it loaded
+    import pickle  # before the fork, so the child inherits it loaded
 
-    children = []
-    for w in range(workers):
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            os.close(read_fd)
-            _run_child(records[w::workers], context, write_fd)
-        os.close(write_fd)
-        children.append((pid, read_fd))
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _run_child(work, args, write_fd)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _reap(children) -> list[tuple[int, bytes]]:
+    """Read what each of the ``_spawn`` children sent and reap it; returns
+    ``(exit status, bytes)`` per child, in order, for :func:`_received`."""
     payloads = []
-    for pid, read_fd in children:  # read and reap every child before judging any
+    for pid, read_fd in children:
         with open(read_fd, "rb") as pipe:
             data = pipe.read()
         payloads.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data))
-    merged = [None] * len(records)
-    for w, (status, data) in enumerate(payloads):
+    return payloads
+
+
+def _received(payloads) -> list:
+    """The results in ``_reap``'s payloads. A child that exited without
+    sending raises ChildProcessError, one that hit a bug its RuntimeError."""
+    import pickle
+
+    results = []
+    for status, data in payloads:
         if status != 0:
             raise ChildProcessError(
                 f"worker process exited with status {status} before sending its results")
-        for j, result in enumerate(pickle.loads(data)):
-            merged[w + j * workers] = result
-    return merged
+        result = pickle.loads(data)
+        if isinstance(result, RuntimeError):
+            raise result
+        results.append(result)
+    return results
 
 
-def _run_child(share, context, write_fd: int) -> NoReturn:
+def _run_child(work, args, write_fd: int) -> NoReturn:
     # never returns into the CLI and never writes to stdout or stderr: a
     # child that got back to main would print the table a second time
     import pickle
@@ -247,13 +297,13 @@ def _run_child(share, context, write_fd: int) -> NoReturn:
     status = 1
     try:
         try:
-            results = _reduce_files(share, *context)
+            result = work(*args)
         except Exception:  # a bug: the parent raises it with this traceback
             import traceback
 
-            results = [RuntimeError(f"worker process failed:\n{traceback.format_exc()}")]
+            result = RuntimeError(f"worker process failed:\n{traceback.format_exc()}")
         with open(write_fd, "wb") as pipe:
-            pickle.dump(results, pipe)
+            pickle.dump(result, pipe)
         status = 0
     finally:
         os._exit(status)
@@ -262,9 +312,16 @@ def _run_child(share, context, write_fd: int) -> NoReturn:
 def _collect_vectors(manifest_path: str, args, cfg: RunConfig):
     records = read_manifest(manifest_path)
     context = (_parse_options(args), cfg.segmentation_config(), cfg.anomaly_policy())
-    workers = min(len(records), _usable_cpus()) if hasattr(os, "fork") else 1
-    results = (_fan_out(records, workers, context) if workers > 1
-               else _reduce_files(records, *context))
+    workers = min(len(records), _usable_cpus())
+    if workers > 1:  # one child per share records[w::workers]; this process only waits
+        results = [None] * len(records)  # entries after a share's exception stay None
+        children = [_spawn(_reduce_files, records[w::workers], *context)
+                    for w in range(workers)]
+        for w, share in enumerate(_received(_reap(children))):
+            for j, result in enumerate(share):
+                results[w + j * workers] = result
+    else:
+        results = _reduce_files(records, *context)
     vectors = []
     for record, result in zip(records, results):
         if isinstance(result, ParseError) and result.line is not None:
@@ -367,8 +424,7 @@ def _cmd_synth(args, cfg: None) -> int:
 
 
 def _cmd_render(args, cfg: RunConfig) -> int:
-    stream = read_session(args.file, _parse_options(args))
-    _print_warnings(stream.warnings, args.file)
+    stream = _read_recording(args)
     seg = segment(stream, cfg.segmentation_config())
     _emit(render_trajectories(stream, seg), args)
     return EXIT_OK

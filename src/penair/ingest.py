@@ -20,6 +20,14 @@ Relative paths are resolved against the manifest's own directory.
 
 Bytes that are not UTF-8 are a ParseError in a sample file and a
 ManifestError in a manifest; the message names the file and the byte offset.
+
+A large recording can be parsed on several CPUs: split_text cuts its text at
+line ends, parse_part parses each piece on its own (the CLI runs it in forked
+workers), and join_parts joins the pieces in file order, parsing again any
+piece whose own parse could differ from a straight-through one, so the result
+is exactly parse_session's. Texts under ``_SPLIT_BLOCKS`` parse blocks stay
+whole, because below that a worker's fork and pickled columns cost more than
+the parse they save.
 """
 
 from __future__ import annotations
@@ -185,9 +193,15 @@ class ParseOptions:
 # at a time: split each line, transpose, then int() per column.
 _BLOCK_CHARS = 32768
 
+# split_text cuts no text of fewer blocks than this: below it, forking a
+# worker and pickling its columns back cost more than the parse they save.
+_SPLIT_BLOCKS = 16
+
 
 class _ColumnBuilder:
     """Validates blocks of split rows and appends them to per-column lists.
+    Rows that :meth:`join` took over as whole parts come before them, in
+    ``joined``.
 
     A block that fails any check is bisected until the failing row stands
     alone; that row is then diagnosed exactly as a row-by-row reader would,
@@ -198,8 +212,42 @@ class _ColumnBuilder:
     def __init__(self):
         self.width: int | None = None
         self.last_t: int | None = None
+        self.lines = 0  # lines taken so far: the next one is line lines + 1
         self.columns: list[list[int]] = [[] for _ in COLUMNS]
+        self.joined: list[list[list[int]]] = []
         self.warnings: list[ParseWarning] = []
+
+    def feed(self, text: str) -> None:
+        """Take ``text``, the next lines of the file, a block at a time."""
+        pos = 0
+        while pos < len(text):
+            # cut just after a "\n", so the blocks' splitlines() adds up to the text's
+            end = text.find("\n", pos + _BLOCK_CHARS) + 1 or len(text)
+            lines = text[pos:end].splitlines()
+            self.add(lines, list(map(str.split, lines)), self.lines + 1)
+            self.lines += len(lines)
+            pos = end
+
+    def join(self, part: _ColumnBuilder | None, text: str) -> None:
+        """Take ``text``, the next lines of the file, given ``part``, what
+        :func:`parse_part` made of it from a fresh start.
+
+        Appending ``part`` is exact when it raised nothing and its first row
+        reads as it would after this state: it has no rows, this state has
+        none, or its rows have this width and its first timestamp is greater
+        than ``last_t``. Any other part's text is fed again from this state.
+        """
+        if part is None or not (part.last_t is None or self.last_t is None or (
+                part.width == self.width and part.columns[2][0] > self.last_t)):
+            self.feed(text)
+            return
+        if self.columns[2]:
+            self.joined.append(self.columns)
+        self.columns = part.columns  # taken over, not copied
+        self.warnings += [ParseWarning(self.lines + w.line, w.message) for w in part.warnings]
+        self.lines += part.lines
+        if part.last_t is not None:
+            self.width, self.last_t = part.width, part.last_t
 
     def add(self, lines: list[str], rows: list[list[str]], lineno: int) -> None:
         """Take ``lines``, whose first is line ``lineno`` of the file, and
@@ -274,16 +322,68 @@ def parse_session(
     with ``derive_status_from_pressure`` they are a ParseError naming
     ``source_id``.
     """
+    return join_parts([text], [None], options, source_id=source_id)
+
+
+def split_text(text: str, parts: int) -> list[str]:
+    """Cut a recording's text into at most ``parts`` pieces of about equal
+    length, each but the last ending just after a ``"\\n"``, so that their
+    lines are the text's lines. A text under ``_SPLIT_BLOCKS`` blocks stays
+    whole."""
+    if len(text) < _SPLIT_BLOCKS * _BLOCK_CHARS:
+        return [text]
+    pieces, pos = [], 0
+    for k in range(1, parts):
+        end = text.find("\n", max(pos, len(text) * k // parts)) + 1
+        if not 0 < end < len(text):
+            break
+        pieces.append(text[pos:end])
+        pos = end
+    pieces.append(text[pos:])
+    return pieces
+
+
+def parse_part(text: str) -> _ColumnBuilder | None:
+    """Parse one piece of :func:`split_text` as if it were a whole file, for
+    :func:`join_parts`; None if that raised. A forked worker runs it and
+    pickles the result back."""
+    part = _ColumnBuilder()
+    try:
+        part.feed(text)
+    except ParseError:  # join_parts parses the text again and raises in file order
+        return None
+    return part
+
+
+def join_parts(
+    texts: Sequence[str],
+    parsed: Sequence[_ColumnBuilder | None],
+    options: ParseOptions | None = None,
+    *,
+    source_id: str = "<stream>",
+) -> SampleStream:
+    """:func:`parse_session` of ``"".join(texts)``, where ``texts`` are
+    consecutive pieces that each end just after a ``"\\n"`` (the last one
+    may not), and ``parsed[i]`` is ``parse_part(texts[i])`` or None.
+
+    A piece's result is used only where that is exact (see
+    ``_ColumnBuilder.join``); every other piece is parsed again here, so the
+    stream, its warnings and any exception with its message and line are
+    parse_session's. The results' lists are emptied as they are used.
+    """
     opts = options or ParseOptions()
     builder = _ColumnBuilder()
-    pos, lineno = 0, 1
-    while pos < len(text):
-        # cut just after a "\n", so the blocks' splitlines() adds up to the text's
-        end = text.find("\n", pos + _BLOCK_CHARS) + 1 or len(text)
-        lines = text[pos:end].splitlines()
-        builder.add(lines, list(map(str.split, lines)), lineno)
-        pos, lineno = end, lineno + len(lines)
-    columns = builder.columns
+    for text, part in zip(texts, parsed):
+        builder.join(part, text)
+    chunks = [*builder.joined, builder.columns]
+    columns = []
+    for k in range(len(COLUMNS)):  # one column's lists and tuple alive at a time
+        column = chunks[0][k]
+        for chunk in chunks[1:]:
+            column += chunk[k]
+            chunk[k].clear()
+        columns.append(tuple(column))
+        column.clear()
     n = len(columns[2])
     if not n:
         raise EmptyInputError(f"{source_id}: no samples")
@@ -291,8 +391,7 @@ def parse_session(
         raise ParseError(f"{source_id}: deriving status needs the pressure column; "
                          "the file has 4 columns")
     zeros = (0,) * n
-    for k, column in enumerate(columns):  # one column's list and tuple alive at a time
-        columns[k] = tuple(column) if column else zeros
+    columns = [column or zeros for column in columns]
     if opts.derive_status_from_pressure:
         columns[3] = tuple([1 if p > 0 else 0 for p in columns[6]])
     return SampleStream._from_valid_columns(tuple(columns), source_id,

@@ -9,7 +9,7 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
-from penair import cli
+from penair import cli, ingest
 from penair.cli import main
 
 CORPUS_INI = """
@@ -427,6 +427,7 @@ def modules_loaded_by(tmp_path, argv):
 def test_each_command_loads_only_what_it_runs(tmp_path):
     manifest = make_corpus(tmp_path)
     recording = str(manifest.parent / "control_000.svc")
+    large = str(long_recording(tmp_path))
     to = ["--out", str(tmp_path / "output")]
     synth = {"penair.synth", "hashlib", "configparser"}
     single = synth | {"penair.stats", "pickle"}  # a one-recording command
@@ -434,6 +435,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         "parse": (["parse", recording, *to], {"penair.ingest"}, single),
         "segment": (["segment", recording, *to], {"penair.segmentation"}, single),
         "render": (["render", recording, *to], {"penair.report"}, single),
+        # above split_text's cutoff a single-file command forks, as the manifest ones do
+        "parse large": (["parse", large, *to], {"pickle"}, synth | {"penair.stats"}),
         # run_cli_in_fresh_interpreter gives two workers, so these fan out
         "features": (["features", str(manifest), *to], {"pickle"}, synth | {"penair.stats"}),
         "aggregate": (["aggregate", str(manifest), *to], {"pickle"}, synth | {"penair.stats"}),
@@ -476,6 +479,132 @@ def test_worker_bug_reaches_parent_and_no_table_is_printed(tmp_path):
     assert done.stdout == ""
     assert "ZeroDivisionError: boom in child" in done.stderr
     assert "worker process failed" in done.stderr
+
+
+LONG_INI = """
+[corpus]
+period = 2
+jitter = 1
+database = demo
+task = long
+
+[cohort solo]
+files = 1
+surface_strokes = 90
+surface_ticks = 300..500
+air_ticks = 100..200
+gaps = 12
+gap_ticks = 40..400
+"""
+
+
+def long_recording(tmp_path):
+    """A synth recording above split_text's cutoff with five repeated rows,
+    each dropped with a warning: one at a sixth, a half and five sixths of
+    its lines, so that every part of a split into up to three parts has one,
+    and one at each cut of a split into three parts. A split into two parts
+    is joined as the parts were parsed; one into three parts is parsed
+    again from each cut."""
+    spec = tmp_path / "long.ini"
+    spec.write_text(LONG_INI, encoding="utf-8")
+    assert main(["synth", "--spec", str(spec), "--seed", "1", "--out", str(tmp_path / "long")]) == 0
+    path = tmp_path / "long" / "solo_000.svc"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    for sixths in (5, 3, 1):  # from the end, so the earlier indices still hold
+        i = len(lines) * sixths // 6
+        lines.insert(i, lines[i])
+    cut = 0
+    for part in ingest.split_text("".join(lines), 3)[:-1]:
+        cut += part.count("\n")
+        lines[cut] = lines[cut - 1]
+    text = "".join(lines)
+    path.write_text(text, encoding="utf-8")
+    halves, thirds = ingest.split_text(text, 2), ingest.split_text(text, 3)
+    assert halves[0].splitlines()[-1] != halves[1].splitlines()[0]
+    assert len(thirds) == 3  # the repeats moved no cut
+    assert all(a.splitlines()[-1] == b.splitlines()[0] for a, b in zip(thirds, thirds[1:]))
+    return path
+
+
+def test_single_file_commands_same_bytes_for_any_worker_count(tmp_path, capsys, monkeypatch):
+    path = long_recording(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for command in ("parse", "segment", "render"):
+        outcomes = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+            code = main([command, str(path)])
+            to_stdout = capsys.readouterr()
+            code_out = main([command, str(path), "--out", str(out)])
+            outcomes.add((code, to_stdout, code_out, capsys.readouterr(), out.read_bytes()))
+        assert len(outcomes) == 1
+        ((code, to_stdout, code_out, to_file, written),) = outcomes
+        assert code == code_out == 0
+        assert to_stdout.out and to_stdout.err.count("WARN ") == 5
+        assert to_file == ("", to_stdout.err) and written == to_stdout.out.encode()
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_parse_reaps_every_child_on_every_path(tmp_path, capsys, monkeypatch):
+    path = long_recording(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    early, late = tmp_path / "early.svc", tmp_path / "late.svc"
+    early.write_text("".join(lines[:1] + ["1 2 x 1\n"] + lines[1:]), encoding="utf-8")
+    late.write_text("".join(lines[:-2] + ["1 2 x 1\n"] + lines[-2:]), encoding="utf-8")
+    parent, real = os.getpid(), cli.parse_part
+    capsys.readouterr()
+    for recording in (path, early, late):  # success, an error in the first part and the last
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        one_process = main(["parse", str(recording)]), capsys.readouterr()
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        assert (main(["parse", str(recording)]), capsys.readouterr()) == one_process
+        no_child_left()
+
+    def dying(text):
+        if os.getpid() != parent:
+            os._exit(7)
+        return real(text)
+
+    monkeypatch.setattr(cli, "parse_part", dying)
+    assert main(["parse", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: worker process exited with status 7 before sending its results\n")
+    no_child_left()
+
+    def buggy(text):
+        where = "child" if os.getpid() != parent else "parent"
+        raise ZeroDivisionError("boom in " + where)
+
+    monkeypatch.setattr(cli, "parse_part", buggy)
+    with pytest.raises(ZeroDivisionError, match="boom in parent"):
+        main(["parse", str(path)])
+    no_child_left()
+    monkeypatch.setattr(cli, "parse_part", lambda text: buggy(text) if os.getpid() != parent
+                        else real(text))
+    with pytest.raises(RuntimeError, match="ZeroDivisionError: boom in child"):
+        main(["parse", str(path)])
+    no_child_left()
+
+
+def test_single_file_worker_that_dies_fails_the_run(tmp_path):
+    path = long_recording(tmp_path)
+    prelude = ("real = cli.parse_part\n"
+               "def dying(text):\n"
+               "    if os.getpid() != parent:\n"
+               "        os._exit(7)\n"
+               "    return real(text)\n"
+               "cli.parse_part = dying")
+    for command in ("parse", "segment", "render"):
+        done = run_cli_in_fresh_interpreter(prelude, [command, str(path)])
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == ("error: worker process exited with status 7 "
+                               "before sending its results\n")
 
 
 def test_compare_database_filter(tmp_path, capsys):

@@ -2,8 +2,9 @@
 
 from fractions import Fraction
 from itertools import accumulate
+from math import floor
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from penair import (
     AnomalyPolicy,
@@ -18,9 +19,9 @@ from penair import (
 
 
 @st.composite
-def streams(draw):
-    n = draw(st.integers(1, 80))
-    period = draw(st.integers(1, 5))
+def streams(draw, min_size=1, period=None):
+    n = draw(st.integers(min_size, 80))
+    period = period or draw(st.integers(1, 5))
     # mostly the period, some jitter, some jumps far above any threshold
     step = st.one_of(st.just(period), st.integers(1, 3 * period), st.integers(1, 60 * period))
     diffs = draw(st.lists(step, min_size=n - 1, max_size=n - 1))
@@ -114,6 +115,28 @@ def test_features_ignore_position_angles_and_pressure(stream, factor, floor_tick
                                       column(-10**6), column(-10**6), column(0))
     cfg = SegmentationConfig(factor, floor_ticks)
     assert features(other, cfg) == features(stream, cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda p: st.tuples(streams(2, p), streams(2, p))),
+       gap_factors, min_gap_ticks, st.integers(1, 10**6))
+def test_joining_two_streams_by_a_gap_adds_their_features_and_one_long_stroke(
+        pair, factor, floor_ticks, beyond):
+    first, second = pair
+    cfg = SegmentationConfig(factor, floor_ticks)
+    period = segment(first, cfg).nominal_period
+    assume(segment(second, cfg).nominal_period == period)
+    jump = floor(cfg.gap_threshold(period)) + beyond  # strictly above the threshold
+    shift = first.t_last + jump - second.t_first
+    joined = SampleStream.from_columns(
+        first.x + second.x, first.y + second.y,
+        first.t + tuple(t + shift for t in second.t), first.status + second.status)
+    assume(segment(joined, cfg).nominal_period == period)
+    a, b, ab = features(first, cfg), features(second, cfg), features(joined, cfg)
+    extra = {Feature.TIME_IN_AIR_LONG: jump, Feature.STROKES_IN_AIR_LONG: 1}
+    assert [ab.value(f) for f in Feature] == [
+        a.value(f) + b.value(f) + extra.get(f, 0) for f in Feature
+    ]
 
 
 cohorts = st.lists(streams(), min_size=1, max_size=4)
