@@ -190,8 +190,12 @@ class ParseOptions:
 
 
 # Text is parsed a block of about this many characters (some thousand rows)
-# at a time: split each line, transpose, then int() per column.
+# at a time: read as JSON where _scanned_rows can, else split each line,
+# transpose, then int() per column.
 _BLOCK_CHARS = 32768
+
+# the characters of serialize_session's subset: "-?[0-9]+" fields, one space, "\n"
+_SCANNABLE = b"0123456789- \n"
 
 # split_text cuts no text of fewer blocks than this: below it, forking a
 # worker and pickling its columns back cost more than the parse they save.
@@ -223,9 +227,16 @@ class _ColumnBuilder:
         while pos < len(text):
             # cut just after a "\n", so the blocks' splitlines() adds up to the text's
             end = text.find("\n", pos + _BLOCK_CHARS) + 1 or len(text)
-            lines = text[pos:end].splitlines()
-            self.add(lines, list(map(str.split, lines)), self.lines + 1)
-            self.lines += len(lines)
+            chunk = text[pos:end]
+            rows = _scanned_rows(chunk)
+            block = rows and self._valid_block(rows, scanned=True)
+            if block:  # rows are its lines, one each
+                self._append(block)
+                self.lines += len(rows)
+            else:  # every diagnostic is the split path's
+                lines = chunk.splitlines()
+                self.add(lines, list(map(str.split, lines)), self.lines + 1)
+                self.lines += len(lines)
             pos = end
 
     def join(self, part: _ColumnBuilder | None, text: str) -> None:
@@ -254,10 +265,7 @@ class _ColumnBuilder:
         ``rows``, the same lines split into fields."""
         block = self._valid_block(rows)
         if block is not None:
-            for column, values in zip(self.columns, block):
-                column.extend(values)
-            self.width = len(block)
-            self.last_t = block[2][-1]
+            self._append(block)
         elif len(rows) > 1:
             mid = len(rows) // 2
             self.add(lines[:mid], rows[:mid], lineno)
@@ -265,14 +273,25 @@ class _ColumnBuilder:
         elif rows[0]:
             self._reject(lines[0], rows[0], lineno)
 
-    def _valid_block(self, rows):
+    def _append(self, block) -> None:
+        for column, values in zip(self.columns, block):
+            column.extend(values)
+        self.width = len(block)
+        self.last_t = block[2][-1]
+
+    def _valid_block(self, rows, scanned=False):
+        # the rows' columns if they are a block of this width that keeps the
+        # rules after last_t, else None; scanned rows hold ints already
         width = self.width or len(rows[0])
         if width not in (4, 7) or {*map(len, rows)} != {width}:
             return None
-        try:
-            block = [tuple(map(int, column)) for column in zip(*rows)]
-        except ValueError:
-            return None
+        if scanned:
+            block = list(zip(*rows))
+        else:
+            try:
+                block = [tuple(map(int, column)) for column in zip(*rows)]
+            except ValueError:
+                return None
         pressure = block[6] if width == 7 else ()
         return block if _follows_rules(block[2], block[3], pressure, self.last_t) else None
 
@@ -296,6 +315,29 @@ class _ColumnBuilder:
         if error is not TimestampOrderError or t < self.last_t:
             raise error(message, lineno)
         self.warnings.append(ParseWarning(lineno, f"duplicate timestamp {t} dropped"))
+
+
+def _scanned_rows(chunk: str) -> list[list[int]] | None:
+    """The rows of ``chunk``, lines that each end in ``"\\n"`` but maybe the
+    last, as lists of ints read by the JSON scanner; None where ``chunk``
+    holds a character outside ``_SCANNABLE`` or the scanner refuses it.
+
+    Such a chunk, its spaces made commas and its line ends ``"],["``, is a
+    JSON array of arrays exactly when every field is ``-?(0|[1-9][0-9]*)``
+    within the digit limit and every separator one space: a subset of the
+    ``int()`` literals, read to the same values, and the lines are the
+    chunk's ``splitlines()``. A blank line reads as an empty row, which no
+    width check passes.
+    """
+    import json  # only a command that parses a recording loads it
+
+    if chunk.encode().translate(None, _SCANNABLE):
+        return None
+    body = chunk.removesuffix("\n").replace(" ", ",").replace("\n", "],[")
+    try:
+        return json.loads(f"[[{body}]]")
+    except ValueError:  # a field or separator outside the subset
+        return None
 
 
 def _bad_field(field: str, raw: str) -> str:
