@@ -82,7 +82,9 @@ def _outcome(parse, *args):
 
 
 _SEPARATORS = st.sampled_from([" ", " ", " ", "\t", "  ", " \t"])
-_BAD_TOKENS = st.sampled_from(["x", "1.5", "1e2", "--1", "", "+", "0x1f"])
+# the last nine are JSON, or near it, but no int() literal
+_BAD_TOKENS = st.sampled_from(["x", "1.5", "1e2", "--1", "", "+", "0x1f", "1,2", "[1]", "true",
+                               "null", "NaN", "Infinity", "-", "1-2", '"1"'])
 _ODD_INTS = st.sampled_from(["+7", "007", "-0", "1_000", "٣", "99999999999999999999"])
 
 
@@ -94,12 +96,16 @@ def recording_texts(draw):
     """Recording-like text: mostly valid rows of one width, with blank lines
     and rows carrying one or more faults: repeated or decreasing timestamps,
     bad status or pressure, non-integer or unusual integer fields, ragged
-    column counts."""
+    column counts. About half the texts are canonical, as serialize_session
+    writes them apart from their faults: one space between fields, "\n" line
+    ends and no blank lines, so that most of their blocks take the JSON
+    scanner's path."""
+    canonical = draw(st.booleans())
     width = draw(st.sampled_from([4, 7]))
     t = draw(st.integers(-50, 50))
     lines = []
     for _ in range(draw(st.integers(0, 40))):
-        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "faulty"]))
+        kind = draw(st.sampled_from(["row"] * 6 + ["faulty"] + ["blank"] * (not canonical)))
         if kind == "blank":
             lines.append(draw(st.sampled_from(["", " ", "\t", "  "])))
             continue
@@ -129,9 +135,9 @@ def recording_texts(draw):
         fields = [f for f in fields if f]  # an empty token just shortens the row
         line = ""
         for f in fields:
-            line += draw(_SEPARATORS) + f if line else f
+            line += (" " if canonical else draw(_SEPARATORS)) + f if line else f
         lines.append(line)
-    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    newline = "\n" if canonical else draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
     text = newline.join(lines)
     if draw(st.booleans()):
         text += newline
@@ -144,6 +150,13 @@ def recording_texts(draw):
     block_chars=st.integers(1, 200),
     derive=st.booleans(),
 )
+# the JSON scanner would read these as a bool, a float, and two fields for one
+@example(text="0 0 1 1\n0 0 2 true\n", block_chars=100, derive=False)
+@example(text="0 0 1.5 1 0 0 1\n", block_chars=100, derive=False)
+@example(text="1,2 0 1\n", block_chars=100, derive=False)
+# a blank line and a short row among canonical ones
+@example(text="0 0 1 1\n\n0 0 2 1\n", block_chars=100, derive=False)
+@example(text="0 0 1 1\n0 0 2\n", block_chars=100, derive=False)
 def test_parse_matches_row_by_row_reference(text, block_chars, derive):
     # small blocks exercise block boundaries and the bisection of bad blocks
     opts = ParseOptions(derive_status_from_pressure=derive)
