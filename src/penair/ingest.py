@@ -15,6 +15,12 @@ a form feed, U+0085 and U+2028 end a row too. An integer field with more
 digits than ``sys.get_int_max_str_digits()`` is a ParseError naming its digit
 count and the limit.
 
+A block of text in serialize_session's subset (``-?[0-9]+`` fields, one
+space between them, ``"\\n"`` line ends) is read by the JSON scanner, in C;
+any other block is split into fields that ``int()`` reads. Both read a field
+to the same value, and every warning and error comes from the second, so the
+subset is only read faster.
+
 Manifest format: CSV with the exact header ``path,database,task,subject,cohort``.
 Relative paths are resolved against the manifest's own directory.
 
@@ -198,8 +204,9 @@ _BLOCK_CHARS = 32768
 _SCANNABLE = b"0123456789- \n"
 
 # split_text cuts no text of fewer blocks than this: below it, forking a
-# worker and pickling its columns back cost more than the parse they save.
-_SPLIT_BLOCKS = 16
+# worker and pickling its columns back cost more than the parse they save
+# (measured on two CPUs; see CHANGES.md).
+_SPLIT_BLOCKS = 32
 
 
 class _ColumnBuilder:

@@ -431,19 +431,24 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     to = ["--out", str(tmp_path / "output")]
     synth = {"penair.synth", "hashlib", "configparser"}
     single = synth | {"penair.stats", "pickle"}  # a one-recording command
+    # json loads where a recording is parsed, for ingest's JSON scanner
     runs = {  # command: (argv, modules it loads, modules it must not load)
-        "parse": (["parse", recording, *to], {"penair.ingest"}, single),
-        "segment": (["segment", recording, *to], {"penair.segmentation"}, single),
-        "render": (["render", recording, *to], {"penair.report"}, single),
-        # above split_text's cutoff a single-file command forks, as the manifest ones do
-        "parse large": (["parse", large, *to], {"pickle"}, synth | {"penair.stats"}),
-        # run_cli_in_fresh_interpreter gives two workers, so these fan out
-        "features": (["features", str(manifest), *to], {"pickle"}, synth | {"penair.stats"}),
-        "aggregate": (["aggregate", str(manifest), *to], {"pickle"}, synth | {"penair.stats"}),
+        "parse": (["parse", recording, *to], {"penair.ingest", "json"}, single),
+        "segment": (["segment", recording, *to], {"penair.segmentation", "json"}, single),
+        "render": (["render", recording, *to], {"penair.report", "json"}, single),
+        # above split_text's cutoff a single-file command forks, as the manifest ones
+        # do, and parses the first part itself
+        "parse large": (["parse", large, *to], {"pickle", "json"}, synth | {"penair.stats"}),
+        # run_cli_in_fresh_interpreter gives two workers, so these fan out, and
+        # only the workers parse
+        "features": (["features", str(manifest), *to], {"pickle"},
+                     synth | {"penair.stats", "json"}),
+        "aggregate": (["aggregate", str(manifest), *to], {"pickle"},
+                      synth | {"penair.stats", "json"}),
         "compare": (["compare", str(manifest), "--cohort-a", "control", "--cohort-b", "patient",
-                     *to], {"penair.stats", "pickle"}, synth),
+                     *to], {"penair.stats", "pickle"}, synth | {"json"}),
         "synth": (["synth", "--spec", str(tmp_path / "corpus.ini"), "--seed", "1",
-                   "--out", str(tmp_path / "again")], synth, set()),
+                   "--out", str(tmp_path / "again")], synth, {"json"}),
     }
     # what a bare interpreter loads (site hooks, say) is not penair's doing
     bare = set(subprocess.run([sys.executable, "-c", "import sys; print(' '.join(sys.modules))"],
@@ -490,7 +495,7 @@ task = long
 
 [cohort solo]
 files = 1
-surface_strokes = 90
+surface_strokes = 180
 surface_ticks = 300..500
 air_ticks = 100..200
 gaps = 12

@@ -11,6 +11,7 @@ from penair import (
     ParseError,
     SampleStream,
     ParseOptions,
+    ParseWarning,
     TimestampOrderError,
     load_manifest,
     parse_session,
@@ -18,6 +19,7 @@ from penair import (
     read_session,
     serialize_session,
 )
+from penair import ingest
 from penair.cli import main
 
 
@@ -255,3 +257,76 @@ def test_field_longer_than_int_digit_limit_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: line 2: {message}\n"
+
+
+# A block in the writer's subset is read by the JSON scanner, any other one
+# by split and int(); the two must agree to the value and to the line.
+
+def canonical_rows(n):
+    return [f"{i % 7} {i % 5} {i + 1} {i % 2} 0 0 {i % 3}" for i in range(n)]
+
+
+@pytest.mark.parametrize("chunk, rows", [
+    ("1 -2 3 4\n5 6 7 0\n", [[1, -2, 3, 4], [5, 6, 7, 0]]),
+    ("1 -2 3 4\n5 6 7 0", [[1, -2, 3, 4], [5, 6, 7, 0]]),
+    ("1 2\n\n3 4\n", [[1, 2], [], [3, 4]]),  # a blank line is an empty row
+    ("1 2\r\n", None), ("1\t2\n", None), ("+1 2\n", None), ("1.5 2\n", None),
+    ("٣ 2\n", None), ("007 2\n", None), ("1  2\n", None), ("1 2 \n", None),
+    (" 1 2\n", None), ("1-2 3\n", None), ("- 1\n", None), ("--1 2\n", None),
+])
+def test_json_scanner_reads_exactly_the_writers_subset(chunk, rows):
+    assert ingest._scanned_rows(chunk) == rows
+
+
+def test_canonical_field_over_digit_limit_names_its_line():
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("this interpreter converts integers of any length")
+    rows = canonical_rows(50)
+    rows[30] = f"0 {'9' * (limit + 1)} 31 1 0 0 0"
+    with pytest.raises(ParseError) as exc:
+        parse_session("\n".join(rows) + "\n")
+    assert exc.value.line == 31
+    assert str(exc.value) == (f"line 31: integer field of {limit + 1} digits exceeds "
+                              f"the limit of {limit} digits")
+
+
+def test_canonical_block_with_a_repeated_timestamp_warns_at_its_line():
+    rows = canonical_rows(50)
+    rows[20] = "9 9 20 1 0 0 0"  # line 21 repeats line 20's timestamp
+    stream = parse_session("\n".join(rows) + "\n")
+    assert stream.warnings == (ParseWarning(21, "duplicate timestamp 20 dropped"),)
+    assert stream.t == tuple(range(1, 21)) + tuple(range(22, 51))
+    assert stream.x[19:21] == (19 % 7, 21 % 7)
+
+
+def test_tab_block_after_canonical_blocks_keeps_line_numbers():
+    # 5000 canonical rows span several default blocks; the tab rows follow
+    rows = canonical_rows(5000) + [row.replace(" ", "\t") for row in canonical_rows(6000)[5000:]]
+    rows[5499] = rows[5498]  # a duplicate among the tab rows, line 5500
+    stream = parse_session("\n".join(rows) + "\n")
+    assert stream.warnings == (ParseWarning(5500, "duplicate timestamp 5499 dropped"),)
+    assert stream.t == tuple(range(1, 5500)) + tuple(range(5501, 6001))
+    rows[5899] = "0\t0\t5900\t2\t0\t0\t0"
+    with pytest.raises(ParseError, match="status must be 0 or 1, got 2") as exc:
+        parse_session("\n".join(rows) + "\n")
+    assert exc.value.line == 5900
+
+
+def test_final_line_without_line_end():
+    assert parse_session("0 0 1 1\n5 6 2 0").t == (1, 2)
+    stream = parse_session("0 0 1 1\n5 6 1 0")
+    assert stream.x == (0,)
+    assert stream.warnings == (ParseWarning(2, "duplicate timestamp 1 dropped"),)
+    with pytest.raises(TimestampOrderError) as exc:
+        parse_session("0 0 2 1\n5 6 1 0")
+    assert exc.value.line == 2
+
+
+def test_minus_zero_and_twenty_digit_fields():
+    stream = parse_session("-0 12345678901234567890 1 1 0 0 -0\n"
+                           "-12345678901234567890 0 2 0 0 0 99999999999999999999\n")
+    assert stream.x == (0, -12345678901234567890)
+    assert stream.y == (12345678901234567890, 0)
+    assert stream.pressure == (0, 99999999999999999999)
+    assert all(type(v) is int for v in stream.x + stream.y + stream.pressure)
