@@ -338,7 +338,8 @@ def _scanned_rows(chunk: str) -> list[list[int]] | None:
     """
     import json  # only a command that parses a recording loads it
 
-    if chunk.encode().translate(None, _SCANNABLE):
+    # isascii first: a lone surrogate, which a caller's str may hold, cannot be encoded
+    if not chunk.isascii() or chunk.encode("ascii").translate(None, _SCANNABLE):
         return None
     body = chunk.removesuffix("\n").replace(" ", ",").replace("\n", "],[")
     try:

@@ -271,11 +271,18 @@ def canonical_rows(n):
     ("1 -2 3 4\n5 6 7 0", [[1, -2, 3, 4], [5, 6, 7, 0]]),
     ("1 2\n\n3 4\n", [[1, 2], [], [3, 4]]),  # a blank line is an empty row
     ("1 2\r\n", None), ("1\t2\n", None), ("+1 2\n", None), ("1.5 2\n", None),
-    ("٣ 2\n", None), ("007 2\n", None), ("1  2\n", None), ("1 2 \n", None),
+    ("٣ 2\n", None), ("1 \ud800\n", None), ("007 2\n", None), ("1  2\n", None), ("1 2 \n", None),
     (" 1 2\n", None), ("1-2 3\n", None), ("- 1\n", None), ("--1 2\n", None),
 ])
 def test_json_scanner_reads_exactly_the_writers_subset(chunk, rows):
     assert ingest._scanned_rows(chunk) == rows
+
+
+def test_lone_surrogate_is_a_non_integer_field():
+    # a str from a caller, not a file: read_text refuses what is not UTF-8
+    with pytest.raises(ParseError) as exc:
+        parse_session("0 0 1 1\n0 \ud800 2 1\n")
+    assert str(exc.value) == "line 2: non-integer field in '0 \\ud800 2 1'"
 
 
 def test_canonical_field_over_digit_limit_names_its_line():
