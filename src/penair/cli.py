@@ -89,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--anomaly-threshold", type=_fraction, default=AnomalyPolicy.threshold,
                         metavar="R", help="in-air-long share marking a file anomalous "
                         f"(default {float(AnomalyPolicy.threshold):g})")
-    common.add_argument("--exact-limit", type=int, default=20, metavar="N",
-                        help="largest pooled size for the exact test (default 20)")
+    common.add_argument("--exact-limit", type=int, default=RunConfig.exact_limit, metavar="N",
+                        help="largest pooled size for the exact test "
+                        f"(default {RunConfig.exact_limit})")
     common.add_argument("--format", choices=[TableFormat.CSV, TableFormat.MARKDOWN],
                         default=TableFormat.CSV, dest="table_format",
                         help="table output format (default csv)")

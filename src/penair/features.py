@@ -145,8 +145,8 @@ def aggregate_cohort(vectors: Iterable[FeatureVector]) -> CohortSummary:
 
     Anomalous files are excluded from every mean but counted in ``n_files``
     and ``n_anomalous``. Raises EmptyCohortError when no files are given or
-    none survive the exclusion, and ValueError when sources carry mixed
-    (database, task, cohort) labels.
+    none survive the exclusion (naming the group's labels, if any), and
+    ValueError when sources carry mixed (database, task, cohort) labels.
     """
     vecs = list(vectors)
     if not vecs:
@@ -160,10 +160,11 @@ def aggregate_cohort(vectors: Iterable[FeatureVector]) -> CohortSummary:
         raise ValueError(f"mixed cohort labels: {sorted(labels)}")
     if labels and any(v.source is None for v in vecs):
         raise ValueError("cannot mix labeled and unlabeled feature vectors")
-    database, task, cohort = labels.pop() if labels else ("", "", "")
+    database, task, cohort = next(iter(labels), ("", "", ""))
     kept = [v for v in vecs if not v.anomalous]
     if not kept:
-        raise EmptyCohortError("all files excluded as anomalous")
+        group = f"database {database!r}, cohort {cohort!r}, task {task!r}: " if labels else ""
+        raise EmptyCohortError(f"{group}all {len(vecs)} files excluded as anomalous")
     n = len(kept)
 
     def mean(attr: str) -> Fraction:

@@ -16,10 +16,11 @@ digits than ``sys.get_int_max_str_digits()`` is a ParseError naming its digit
 count and the limit.
 
 A block of text in serialize_session's subset (``-?[0-9]+`` fields, one
-space between them, ``"\\n"`` line ends) is read by the JSON scanner, in C;
-any other block is split into fields that ``int()`` reads. Both read a field
-to the same value, and every warning and error comes from the second, so the
-subset is only read faster.
+space between them, ``"\\n"`` line ends) that breaks no rule is read by the
+JSON scanner, in C; any other block is read line by line, each line split
+into fields that ``int()`` reads. Both read a field to the same value, and
+every warning and error comes from the line reader, so the subset is only
+read faster.
 
 Manifest format: CSV with the exact header ``path,database,task,subject,cohort``.
 Relative paths are resolved against the manifest's own directory.
@@ -196,8 +197,8 @@ class ParseOptions:
 
 
 # Text is parsed a block of about this many characters (some thousand rows)
-# at a time: read as JSON where _scanned_rows can, else split each line,
-# transpose, then int() per column.
+# at a time: read as JSON where _scanned_rows can and the rows break no rule,
+# else line by line.
 _BLOCK_CHARS = 32768
 
 # the characters of serialize_session's subset: "-?[0-9]+" fields, one space, "\n"
@@ -210,14 +211,12 @@ _SPLIT_BLOCKS = 32
 
 
 class _ColumnBuilder:
-    """Validates blocks of split rows and appends them to per-column lists.
-    Rows that :meth:`join` took over as whole parts come before them, in
-    ``joined``.
+    """Validates rows and appends them to per-column lists. Rows that
+    :meth:`join` took over as whole parts come before them, in ``joined``.
 
-    A block that fails any check is bisected until the failing row stands
-    alone; that row is then diagnosed exactly as a row-by-row reader would,
-    so the first faulty line in the file raises, or a duplicate-timestamp row
-    is dropped with a warning.
+    A block that the JSON scanner does not read, or whose rows fail any
+    check, is read again one line at a time, so the first faulty line in the
+    file raises, or a duplicate-timestamp row is dropped with a warning.
     """
 
     def __init__(self):
@@ -236,14 +235,15 @@ class _ColumnBuilder:
             end = text.find("\n", pos + _BLOCK_CHARS) + 1 or len(text)
             chunk = text[pos:end]
             rows = _scanned_rows(chunk)
-            block = rows and self._valid_block(rows, scanned=True)
+            block = rows and self._valid_block(rows)
             if block:  # rows are its lines, one each
                 self._append(block)
                 self.lines += len(rows)
-            else:  # every diagnostic is the split path's
-                lines = chunk.splitlines()
-                self.add(lines, list(map(str.split, lines)), self.lines + 1)
-                self.lines += len(lines)
+            else:  # read row by row, so every diagnostic is the row reader's
+                for line in chunk.splitlines():
+                    self.lines += 1
+                    if fields := line.split():
+                        self._take(line, fields)
             pos = end
 
     def join(self, part: _ColumnBuilder | None, text: str) -> None:
@@ -267,44 +267,26 @@ class _ColumnBuilder:
         if part.last_t is not None:
             self.width, self.last_t = part.width, part.last_t
 
-    def add(self, lines: list[str], rows: list[list[str]], lineno: int) -> None:
-        """Take ``lines``, whose first is line ``lineno`` of the file, and
-        ``rows``, the same lines split into fields."""
-        block = self._valid_block(rows)
-        if block is not None:
-            self._append(block)
-        elif len(rows) > 1:
-            mid = len(rows) // 2
-            self.add(lines[:mid], rows[:mid], lineno)
-            self.add(lines[mid:], rows[mid:], lineno + mid)
-        elif rows[0]:
-            self._reject(lines[0], rows[0], lineno)
-
     def _append(self, block) -> None:
         for column, values in zip(self.columns, block):
             column.extend(values)
         self.width = len(block)
         self.last_t = block[2][-1]
 
-    def _valid_block(self, rows, scanned=False):
-        # the rows' columns if they are a block of this width that keeps the
-        # rules after last_t, else None; scanned rows hold ints already
+    def _valid_block(self, rows):
+        # the columns of scanned rows if they are a block of this width that
+        # keeps the rules after last_t, else None
         width = self.width or len(rows[0])
         if width not in (4, 7) or {*map(len, rows)} != {width}:
             return None
-        if scanned:
-            block = list(zip(*rows))
-        else:
-            try:
-                block = [tuple(map(int, column)) for column in zip(*rows)]
-            except ValueError:
-                return None
+        block = list(zip(*rows))
         pressure = block[6] if width == 7 else ()
         return block if _follows_rules(block[2], block[3], pressure, self.last_t) else None
 
-    def _reject(self, raw: str, fields: list[str], lineno: int) -> None:
-        # one non-blank row that failed _valid_block; the checks run in the
-        # order of a row-by-row reader, so the same fault wins
+    def _take(self, raw: str, fields: list[str]) -> None:
+        # line ``lines``, split into ``fields``: appended if it breaks no rule,
+        # else diagnosed, each check in a row-by-row reader's order
+        lineno = self.lines
         if self.width is None:
             if len(fields) not in (4, 7):
                 raise ParseError(f"expected 4 or 7 columns, got {len(fields)}", lineno)
@@ -318,7 +300,13 @@ class _ColumnBuilder:
                 raise ParseError(_bad_field(field, raw), lineno) from None
         t = values[2]
         pressure = values[6] if len(values) == 7 else 0
-        error, message = _row_fault(self.last_t, t, values[3], pressure)
+        fault = _row_fault(self.last_t, t, values[3], pressure)
+        if fault is None:
+            for column, value in zip(self.columns, values):
+                column.append(value)
+            self.width, self.last_t = len(values), t
+            return
+        error, message = fault
         if error is not TimestampOrderError or t < self.last_t:
             raise error(message, lineno)
         self.warnings.append(ParseWarning(lineno, f"duplicate timestamp {t} dropped"))

@@ -240,6 +240,23 @@ def test_aggregate_empty_manifest_exits_three(tmp_path, capsys):
     assert main(["aggregate", str(manifest)]) == 3
 
 
+def test_aggregate_names_group_with_every_file_anomalous(tmp_path, capsys):
+    # one file per cohort; the patient file spends most of its time in a long gap
+    write_session(tmp_path, "ok.svc",
+                  "0 0 0 1\n1 1 2 1\n2 2 4 1\n3 3 6 0\n4 4 8 0\n5 5 10 1\n")
+    write_session(tmp_path, "bad.svc",
+                  "0 0 0 1\n1 1 2 1\n2 2 4 0\n3 3 6 0\n4 4 200 0\n5 5 202 1\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,database,task,subject,cohort\n"
+                        "ok.svc,db,copy,s1,control\nbad.svc,db,copy,s2,patient\n",
+                        encoding="utf-8")
+    assert main(["aggregate", str(manifest)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: database 'db', cohort 'patient', task 'copy': "
+                            "all 1 files excluded as anomalous\n")
+
+
 def test_aggregate_bad_manifest_exits_two(tmp_path, capsys):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("wrong,header,entirely,x,y\n", encoding="utf-8")
@@ -282,6 +299,12 @@ def test_compare_exact_limit_switches_method(tmp_path, capsys):
                  "--cohort-b", "patient", "--exact-limit", "7"]) == 0
     methods = {line.split(",")[6] for line in capsys.readouterr().out.splitlines()[1:]}
     assert methods == {"approx"}
+    from penair import stats
+    from penair.report import RunConfig
+
+    args = cli.build_parser().parse_args(["compare", "m.csv", "--cohort-a", "a",
+                                          "--cohort-b", "b"])
+    assert args.exact_limit == RunConfig.exact_limit == stats.DEFAULT_EXACT_LIMIT
 
 
 def test_compare_unknown_cohort_exits_three(tmp_path, capsys):

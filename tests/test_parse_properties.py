@@ -158,7 +158,7 @@ def recording_texts(draw):
 @example(text="0 0 1 1\n\n0 0 2 1\n", block_chars=100, derive=False)
 @example(text="0 0 1 1\n0 0 2\n", block_chars=100, derive=False)
 def test_parse_matches_row_by_row_reference(text, block_chars, derive):
-    # small blocks exercise block boundaries and the bisection of bad blocks
+    # small blocks exercise block boundaries and the line reading of bad blocks
     opts = ParseOptions(derive_status_from_pressure=derive)
     want = _outcome(reference_parse, text, opts)
     with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
