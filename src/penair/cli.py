@@ -5,15 +5,9 @@ Data goes to stdout (or --out PATH); diagnostics go to stderr. Exit codes:
 0 success, 1 usage error, 2 parse/format error, 3 empty-cohort or
 degenerate-data error. Manifest commands read their files in one forked
 process per usable CPU; output and warnings keep manifest order. The
-single-file commands (parse, segment, render) split a large recording into
-one part per usable CPU at line ends; forked children parse every part but
-the first, which this process parses, and the parts are joined in file order
-(ingest.join_parts), so the output, warnings and exit code are those of a
-one-process parse. A recording under ingest's cutoff stays in one process,
-because forking and sending the columns back would cost more than they save;
-``taskset -c 0`` also gives one process. A command imports only the modules
-it runs: synth and the rank tests load in their handlers, pickle only when
-forking.
+single-file commands (parse, segment, render) parse their recording in this
+process. A command imports only the modules it runs: synth and the rank tests
+load in their handlers, pickle only when forking.
 """
 
 from __future__ import annotations
@@ -40,12 +34,8 @@ from .ingest import (
     ParseOptions,
     ParseWarning,
     SampleStream,
-    join_parts,
-    parse_part,
     read_manifest,
     read_session,
-    read_text,
-    split_text,
 )
 from .report import (
     RunConfig,
@@ -169,27 +159,10 @@ def _emit(text: str, args) -> None:
 
 
 def _read_recording(args) -> SampleStream:
-    """read_session of the single-file commands, its warnings printed. A text
-    that split_text cuts is parsed on every usable CPU: forked children parse
-    the parts after the first while this process parses the first."""
-    path = Path(args.file)
-    parts = split_text(read_text(path, ParseError), _usable_cpus())
-    parsed = _parse_apart(parts) if len(parts) > 1 else [None]
-    stream = join_parts(parts, parsed, _parse_options(args), source_id=str(path))
+    """read_session of the single-file commands, its warnings printed."""
+    stream = read_session(args.file, _parse_options(args))
     _print_warnings(stream.warnings, args.file)
     return stream
-
-
-def _parse_apart(parts: list[str]) -> list:
-    """parse_part of each part: the first in this process, the others in
-    forked children, all at once. A function of its own, so that the pickled
-    bytes are freed before the join."""
-    children = [_spawn(parse_part, part) for part in parts[1:]]
-    try:
-        head = parse_part(parts[0])
-    finally:  # reaped before anything is judged, even if this process failed
-        payloads = _reap(children)
-    return [head, *_received(payloads)]
 
 
 def _cmd_parse(args, cfg: RunConfig) -> int:
@@ -247,8 +220,8 @@ def _reduce_files(records, opts: ParseOptions, seg_cfg, policy) -> list:
 def _spawn(work, *args) -> tuple[int, int]:
     """Fork a child that sends ``work(*args)`` back pickled (a bug as a
     RuntimeError carrying its traceback) and exits. Returns its pid and the
-    read end of its pipe, for :func:`_reap`, which every caller runs on every
-    child it spawned."""
+    read end of its pipe, for :func:`_gather`, which every caller runs on
+    every child it spawned."""
     # raw fork, not a multiprocessing pool: the CLI runs no threads, and a
     # pool's import and start-up ate most of the saving when measured
     import pickle  # before the fork, so the child inherits it loaded
@@ -262,22 +235,17 @@ def _spawn(work, *args) -> tuple[int, int]:
     return pid, read_fd
 
 
-def _reap(children) -> list[tuple[int, bytes]]:
-    """Read what each of the ``_spawn`` children sent and reap it; returns
-    ``(exit status, bytes)`` per child, in order, for :func:`_received`."""
+def _gather(children) -> list:
+    """The results of the ``_spawn`` children, in order. Every child is read
+    and reaped before any is judged: one that exited without sending raises
+    ChildProcessError, one that hit a bug its RuntimeError."""
+    import pickle
+
     payloads = []
     for pid, read_fd in children:
         with open(read_fd, "rb") as pipe:
             data = pipe.read()
         payloads.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data))
-    return payloads
-
-
-def _received(payloads) -> list:
-    """The results in ``_reap``'s payloads. A child that exited without
-    sending raises ChildProcessError, one that hit a bug its RuntimeError."""
-    import pickle
-
     results = []
     for status, data in payloads:
         if status != 0:
@@ -318,7 +286,7 @@ def _collect_vectors(manifest_path: str, args, cfg: RunConfig):
         results = [None] * len(records)  # entries after a share's exception stay None
         children = [_spawn(_reduce_files, records[w::workers], *context)
                     for w in range(workers)]
-        for w, share in enumerate(_received(_reap(children))):
+        for w, share in enumerate(_gather(children)):
             for j, result in enumerate(share):
                 results[w + j * workers] = result
     else:

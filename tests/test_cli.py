@@ -9,7 +9,7 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
-from penair import cli, ingest
+from penair import cli
 from penair.cli import main
 
 CORPUS_INI = """
@@ -459,9 +459,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         "parse": (["parse", recording, *to], {"penair.ingest", "json"}, single),
         "segment": (["segment", recording, *to], {"penair.segmentation", "json"}, single),
         "render": (["render", recording, *to], {"penair.report", "json"}, single),
-        # above split_text's cutoff a single-file command forks, as the manifest ones
-        # do, and parses the first part itself
-        "parse large": (["parse", large, *to], {"pickle", "json"}, synth | {"penair.stats"}),
+        # a single-file command parses in one process at any size: it never forks
+        "parse large": (["parse", large, *to], {"json"}, single),
         # run_cli_in_fresh_interpreter gives two workers, so these fan out, and
         # only the workers parse
         "features": (["features", str(manifest), *to], {"pickle"},
@@ -527,50 +526,33 @@ gap_ticks = 40..400
 
 
 def long_recording(tmp_path):
-    """A synth recording above split_text's cutoff with five repeated rows,
-    each dropped with a warning: one at a sixth, a half and five sixths of
-    its lines, so that every part of a split into up to three parts has one,
-    and one at each cut of a split into three parts. A split into two parts
-    is joined as the parts were parsed; one into three parts is parsed
-    again from each cut."""
+    """A synth recording of about 43 parse blocks with five repeated rows,
+    each dropped with a warning: one at each sixth of its lines."""
     spec = tmp_path / "long.ini"
     spec.write_text(LONG_INI, encoding="utf-8")
     assert main(["synth", "--spec", str(spec), "--seed", "1", "--out", str(tmp_path / "long")]) == 0
     path = tmp_path / "long" / "solo_000.svc"
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    for sixths in (5, 3, 1):  # from the end, so the earlier indices still hold
+    for sixths in (5, 4, 3, 2, 1):  # from the end, so the earlier indices still hold
         i = len(lines) * sixths // 6
         lines.insert(i, lines[i])
-    cut = 0
-    for part in ingest.split_text("".join(lines), 3)[:-1]:
-        cut += part.count("\n")
-        lines[cut] = lines[cut - 1]
-    text = "".join(lines)
-    path.write_text(text, encoding="utf-8")
-    halves, thirds = ingest.split_text(text, 2), ingest.split_text(text, 3)
-    assert halves[0].splitlines()[-1] != halves[1].splitlines()[0]
-    assert len(thirds) == 3  # the repeats moved no cut
-    assert all(a.splitlines()[-1] == b.splitlines()[0] for a, b in zip(thirds, thirds[1:]))
+    path.write_text("".join(lines), encoding="utf-8")
     return path
 
 
-def test_single_file_commands_same_bytes_for_any_worker_count(tmp_path, capsys, monkeypatch):
+def test_single_file_commands_same_bytes_for_any_worker_count(tmp_path, capsys):
+    # parsed in one process: stdout and --out hold the same bytes, and each
+    # repeated row warns once
     path = long_recording(tmp_path)
     out = tmp_path / "out"
     capsys.readouterr()
     for command in ("parse", "segment", "render"):
-        outcomes = set()
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
-            code = main([command, str(path)])
-            to_stdout = capsys.readouterr()
-            code_out = main([command, str(path), "--out", str(out)])
-            outcomes.add((code, to_stdout, code_out, capsys.readouterr(), out.read_bytes()))
-        assert len(outcomes) == 1
-        ((code, to_stdout, code_out, to_file, written),) = outcomes
-        assert code == code_out == 0
-        assert to_stdout.out and to_stdout.err.count("WARN ") == 5
-        assert to_file == ("", to_stdout.err) and written == to_stdout.out.encode()
+        assert main([command, str(path)]) == 0
+        to_stdout = capsys.readouterr()
+        assert main([command, str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", to_stdout.err)
+        assert to_stdout.out and out.read_bytes() == to_stdout.out.encode()
+        assert to_stdout.err.count("WARN ") == 5 and len(to_stdout.err.splitlines()) == 5
 
 
 def no_child_left():
@@ -578,61 +560,31 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_split_parse_reaps_every_child_on_every_path(tmp_path, capsys, monkeypatch):
-    path = long_recording(tmp_path)
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    early, late = tmp_path / "early.svc", tmp_path / "late.svc"
-    early.write_text("".join(lines[:1] + ["1 2 x 1\n"] + lines[1:]), encoding="utf-8")
-    late.write_text("".join(lines[:-2] + ["1 2 x 1\n"] + lines[-2:]), encoding="utf-8")
-    parent, real = os.getpid(), cli.parse_part
+def test_manifest_fan_out_reaps_every_child_on_every_path(tmp_path, capsys, monkeypatch):
+    manifest = make_corpus(tmp_path)
+    bad = write_session(tmp_path / "corpus", "bad.svc", "0 0 0 1\n1 1 2 1\n2 2 x 1\n")
+    broken = tmp_path / "corpus" / "broken.csv"
+    broken.write_text(manifest.read_text(encoding="utf-8") + "bad.svc,demo,copy,s9,patient\n",
+                      encoding="utf-8")
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     capsys.readouterr()
-    for recording in (path, early, late):  # success, an error in the first part and the last
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-        one_process = main(["parse", str(recording)]), capsys.readouterr()
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-        assert (main(["parse", str(recording)]), capsys.readouterr()) == one_process
-        no_child_left()
+    assert main(["features", str(manifest)]) == 0
+    no_child_left()
+    assert main(["features", str(broken)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 3: non-integer field in '2 2 x 1'\n"
+    no_child_left()
+    parent, real = os.getpid(), cli._reduce_files
 
-    def dying(text):
+    def dying(*args):
         if os.getpid() != parent:
             os._exit(7)
-        return real(text)
+        return real(*args)
 
-    monkeypatch.setattr(cli, "parse_part", dying)
-    assert main(["parse", str(path)]) == 2
+    monkeypatch.setattr(cli, "_reduce_files", dying)
+    assert main(["features", str(manifest)]) == 2
     assert capsys.readouterr().err == (
         "error: worker process exited with status 7 before sending its results\n")
     no_child_left()
-
-    def buggy(text):
-        where = "child" if os.getpid() != parent else "parent"
-        raise ZeroDivisionError("boom in " + where)
-
-    monkeypatch.setattr(cli, "parse_part", buggy)
-    with pytest.raises(ZeroDivisionError, match="boom in parent"):
-        main(["parse", str(path)])
-    no_child_left()
-    monkeypatch.setattr(cli, "parse_part", lambda text: buggy(text) if os.getpid() != parent
-                        else real(text))
-    with pytest.raises(RuntimeError, match="ZeroDivisionError: boom in child"):
-        main(["parse", str(path)])
-    no_child_left()
-
-
-def test_single_file_worker_that_dies_fails_the_run(tmp_path):
-    path = long_recording(tmp_path)
-    prelude = ("real = cli.parse_part\n"
-               "def dying(text):\n"
-               "    if os.getpid() != parent:\n"
-               "        os._exit(7)\n"
-               "    return real(text)\n"
-               "cli.parse_part = dying")
-    for command in ("parse", "segment", "render"):
-        done = run_cli_in_fresh_interpreter(prelude, [command, str(path)])
-        assert done.returncode == 2
-        assert done.stdout == ""
-        assert done.stderr == ("error: worker process exited with status 7 "
-                               "before sending its results\n")
 
 
 def test_compare_database_filter(tmp_path, capsys):

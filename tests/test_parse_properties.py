@@ -157,6 +157,21 @@ def recording_texts(draw):
 # a blank line and a short row among canonical ones
 @example(text="0 0 1 1\n\n0 0 2 1\n", block_chars=100, derive=False)
 @example(text="0 0 1 1\n0 0 2\n", block_chars=100, derive=False)
+# a block ends at the first "\n" at least block_chars into it, so each case
+# below falls at a block boundary:
+# a duplicate timestamp at a boundary is dropped with a warning
+@example(text="0 0 1 1\n0 0 2 1\n0 0 2 1\n0 0 3 1\n", block_chars=8, derive=False)
+# a decreasing timestamp at a boundary
+@example(text="0 0 1 1\n0 0 5 1\n0 0 3 1\n0 0 6 1\n", block_chars=8, derive=False)
+# four-column rows after seven-column rows
+@example(text="0 0 1 1 0 0 1\n0 0 2 1 0 0 1\n0 0 3 1\n", block_chars=14, derive=False)
+# a block of blank lines only; the next block's warning is on line 5
+@example(text="0 0 1 1\n\n \n0 0 2 1\n0 0 2 1\n", block_chars=2, derive=False)
+# errors in two blocks: the first one wins
+@example(text="0 0 1 1\n0 0 2 1\n0 0 x 1\n0 0 4 1\n0 0 y 1\n", block_chars=8,
+         derive=False)
+# a four-column file with derive_status_from_pressure
+@example(text="0 0 1 1\n0 0 2 0\n", block_chars=7, derive=True)
 def test_parse_matches_row_by_row_reference(text, block_chars, derive):
     # small blocks exercise block boundaries and the line reading of bad blocks
     opts = ParseOptions(derive_status_from_pressure=derive)
@@ -167,65 +182,6 @@ def test_parse_matches_row_by_row_reference(text, block_chars, derive):
         stream = got[1]
         got = ("ok", (tuple(stream.samples), stream.warnings))
     assert got == want
-
-
-def cut_after_lines(text, cuts):
-    """``text`` cut just after each of its "\\n"s whose index (0 for the
-    first) is in ``cuts``."""
-    ends = [m.end() for m in re.finditer("\n", text)]
-    at = sorted({ends[c] for c in cuts if c < len(ends)})
-    return [text[a:b] for a, b in zip([0, *at], [*at, len(text)])]
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    text=recording_texts(),
-    cuts=st.sets(st.integers(0, 40), max_size=20),
-    block_chars=st.integers(1, 200),
-    derive=st.booleans(),
-)
-# a duplicate timestamp exactly at a cut is dropped with a warning
-@example(text="0 0 1 1\n0 0 2 1\n0 0 2 1\n0 0 3 1\n", cuts={1}, block_chars=100, derive=False)
-# a decreasing timestamp at a cut
-@example(text="0 0 1 1\n0 0 5 1\n0 0 3 1\n0 0 6 1\n", cuts={1}, block_chars=100, derive=False)
-# a four-column part after a seven-column part
-@example(text="0 0 1 1 0 0 1\n0 0 2 1 0 0 1\n0 0 3 1\n", cuts={1}, block_chars=100,
-         derive=False)
-# a part of blank lines only; the next part's warning is on the file's line 5
-@example(text="0 0 1 1\n\n \n0 0 2 1\n0 0 2 1\n", cuts={0, 2}, block_chars=100,
-         derive=False)
-# errors in two parts: the first one wins
-@example(text="0 0 1 1\n0 0 2 1\n0 0 x 1\n0 0 4 1\n0 0 y 1\n", cuts={1, 3},
-         block_chars=100, derive=False)
-# a four-column file with derive_status_from_pressure
-@example(text="0 0 1 1\n0 0 2 0\n", cuts={0}, block_chars=100, derive=True)
-def test_parts_parsed_apart_and_joined_match_reference(text, cuts, block_chars, derive):
-    # the pieces a forked parse joins, cut at any "\n"; each piece parsed
-    # on its own as a worker does, or not at all where that raised
-    opts = ParseOptions(derive_status_from_pressure=derive)
-    want = _outcome(reference_parse, text, opts)
-    pieces = cut_after_lines(text, cuts)
-    with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
-        got = _outcome(ingest.join_parts, pieces, list(map(ingest.parse_part, pieces)), opts)
-    if got[0] == "ok":
-        stream = got[1]
-        got = ("ok", (tuple(stream.samples), stream.warnings))
-    assert got == want
-
-
-@settings(max_examples=200, deadline=None)
-@given(text=recording_texts(), parts=st.integers(1, 5), block_chars=st.integers(1, 200),
-       split_blocks=st.integers(0, 4))
-def test_split_text_cuts_at_line_ends_above_the_cutoff(text, parts, block_chars, split_blocks):
-    with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars), \
-            mock.patch.object(ingest, "_SPLIT_BLOCKS", split_blocks):
-        pieces = ingest.split_text(text, parts)
-    assert "".join(pieces) == text
-    assert all(piece.endswith("\n") for piece in pieces[:-1])
-    assert all(pieces) or pieces == [""]
-    assert len(pieces) <= parts
-    if len(text) < split_blocks * block_chars:
-        assert pieces == [text]
 
 
 def test_parse_matches_reference_across_default_blocks():
