@@ -184,6 +184,58 @@ def test_parse_matches_row_by_row_reference(text, block_chars, derive):
     assert got == want
 
 
+def cut_after_lines(text, cuts):
+    """``text`` cut just after each of its "\\n"s whose index (0 for the
+    first) is in ``cuts``."""
+    ends = [m.end() for m in re.finditer("\n", text)]
+    at = sorted({ends[c] for c in cuts if c < len(ends)})
+    return [text[a:b] for a, b in zip([0, *at], [*at, len(text)])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=recording_texts(),
+    cuts=st.sets(st.integers(0, 40), max_size=20),
+    block_chars=st.integers(1, 200),
+    derive=st.booleans(),
+)
+# a duplicate timestamp exactly at a cut is dropped with a warning
+@example(text="0 0 1 1\n0 0 2 1\n0 0 2 1\n0 0 3 1\n", cuts={1}, block_chars=100, derive=False)
+# a decreasing timestamp at a cut
+@example(text="0 0 1 1\n0 0 5 1\n0 0 3 1\n0 0 6 1\n", cuts={1}, block_chars=100, derive=False)
+# a four-column part after a seven-column part
+@example(text="0 0 1 1 0 0 1\n0 0 2 1 0 0 1\n0 0 3 1\n", cuts={1}, block_chars=100,
+         derive=False)
+# a part of blank lines only; the next part's warning is on the file's line 5
+@example(text="0 0 1 1\n\n \n0 0 2 1\n0 0 2 1\n", cuts={0, 2}, block_chars=100,
+         derive=False)
+# errors in two parts: the first one wins
+@example(text="0 0 1 1\n0 0 2 1\n0 0 x 1\n0 0 4 1\n0 0 y 1\n", cuts={1, 3},
+         block_chars=100, derive=False)
+# a four-column file with derive_status_from_pressure
+@example(text="0 0 1 1\n0 0 2 0\n", cuts={0}, block_chars=100, derive=True)
+def test_parts_parsed_apart_and_joined_match_reference(text, cuts, block_chars, derive):
+    # the text cut at any "\n" and fed to one _ColumnBuilder a part at a
+    # time, whatever the block size: its state carries from part to part
+    opts = ParseOptions(derive_status_from_pressure=derive)
+    want = _outcome(reference_parse, text, opts)
+    pieces = cut_after_lines(text, cuts)
+    feed = ingest._ColumnBuilder.feed
+
+    def feed_in_parts(builder, whole):
+        assert whole == "".join(pieces)
+        for piece in pieces:
+            feed(builder, piece)
+
+    with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars), \
+            mock.patch.object(ingest._ColumnBuilder, "feed", feed_in_parts):
+        got = _outcome(parse_session, text, opts)
+    if got[0] == "ok":
+        stream = got[1]
+        got = ("ok", (tuple(stream.samples), stream.warnings))
+    assert got == want
+
+
 def test_parse_matches_reference_across_default_blocks():
     # a text of several default-size blocks, with a duplicate and a bad row past the first
     rows = [f"{i % 97} {i % 89} {3 * i} {i % 2} 10 20 {i % 500}" for i in range(6000)]
