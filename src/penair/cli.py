@@ -20,7 +20,6 @@ from fractions import Fraction
 from itertools import islice
 from operator import ne
 from pathlib import Path
-from typing import NoReturn
 
 from .errors import (
     DegenerateDataError,
@@ -217,80 +216,72 @@ def _reduce_files(records, opts: ParseOptions, seg_cfg, policy) -> list:
     return results
 
 
-def _spawn(work, *args) -> tuple[int, int]:
-    """Fork a child that sends ``work(*args)`` back pickled (a bug as a
-    RuntimeError carrying its traceback) and exits. Returns its pid and the
-    read end of its pipe, for :func:`_gather`, which every caller runs on
-    every child it spawned."""
+def _fan_out(records, workers: int, context) -> list:
+    """``_reduce_files`` on each share ``records[w::workers]`` in one forked
+    child, merged back into manifest order; entries after a share's exception
+    stay None. Every child is read and reaped before any is judged: one that
+    exited without sending raises ChildProcessError, one that hit a bug its
+    RuntimeError."""
     # raw fork, not a multiprocessing pool: the CLI runs no threads, and a
     # pool's import and start-up ate most of the saving when measured
-    import pickle  # before the fork, so the child inherits it loaded
+    import pickle  # before the fork, so the children inherit it loaded
 
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(read_fd)
-        _run_child(work, args, write_fd)
-    os.close(write_fd)
-    return pid, read_fd
+    children, fds = [], ()
+    try:
+        for w in range(workers):
+            fds = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # never returns into the CLI and never writes to stdout or stderr:
+                # a child that got back to main would print the table a second time
+                status = 1
+                try:
+                    os.close(fds[0])
+                    try:
+                        result = _reduce_files(records[w::workers], *context)
+                    except Exception:  # a bug: the parent raises it with this traceback
+                        import traceback
 
-
-def _gather(children) -> list:
-    """The results of the ``_spawn`` children, in order. Every child is read
-    and reaped before any is judged: one that exited without sending raises
-    ChildProcessError, one that hit a bug its RuntimeError."""
-    import pickle
-
+                        result = RuntimeError(f"worker process failed:\n{traceback.format_exc()}")
+                    with open(fds[1], "wb") as pipe:
+                        pickle.dump(result, pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(fds[1])
+            children.append((pid, fds[0]))
+            fds = ()
+    except BaseException:
+        # a pipe or fork failed: read ends first, so that a child blocked on a
+        # full pipe fails its write and exits, then reap every child started
+        for fd in [read_fd for _, read_fd in children] + list(fds):
+            os.close(fd)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+        raise
     payloads = []
     for pid, read_fd in children:
         with open(read_fd, "rb") as pipe:
             data = pipe.read()
         payloads.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data))
-    results = []
-    for status, data in payloads:
+    merged = [None] * len(records)
+    for w, (status, data) in enumerate(payloads):
         if status != 0:
             raise ChildProcessError(
                 f"worker process exited with status {status} before sending its results")
-        result = pickle.loads(data)
-        if isinstance(result, RuntimeError):
-            raise result
-        results.append(result)
-    return results
-
-
-def _run_child(work, args, write_fd: int) -> NoReturn:
-    # never returns into the CLI and never writes to stdout or stderr: a
-    # child that got back to main would print the table a second time
-    import pickle
-
-    status = 1
-    try:
-        try:
-            result = work(*args)
-        except Exception:  # a bug: the parent raises it with this traceback
-            import traceback
-
-            result = RuntimeError(f"worker process failed:\n{traceback.format_exc()}")
-        with open(write_fd, "wb") as pipe:
-            pickle.dump(result, pipe)
-        status = 0
-    finally:
-        os._exit(status)
+        share = pickle.loads(data)
+        if isinstance(share, RuntimeError):
+            raise share
+        merged[w:w + workers * len(share):workers] = share
+    return merged
 
 
 def _collect_vectors(manifest_path: str, args, cfg: RunConfig):
     records = read_manifest(manifest_path)
     context = (_parse_options(args), cfg.segmentation_config(), cfg.anomaly_policy())
     workers = min(len(records), _usable_cpus())
-    if workers > 1:  # one child per share records[w::workers]; this process only waits
-        results = [None] * len(records)  # entries after a share's exception stay None
-        children = [_spawn(_reduce_files, records[w::workers], *context)
-                    for w in range(workers)]
-        for w, share in enumerate(_gather(children)):
-            for j, result in enumerate(share):
-                results[w + j * workers] = result
-    else:
-        results = _reduce_files(records, *context)
+    results = (_fan_out(records, workers, context) if workers > 1
+               else _reduce_files(records, *context))
     vectors = []
     for record, result in zip(records, results):
         if isinstance(result, ParseError) and result.line is not None:

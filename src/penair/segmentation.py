@@ -111,38 +111,33 @@ class SessionSegmentation:
         return sum(self.class_times.values())
 
 
-def _intervals(stream: SampleStream) -> tuple[int, ...]:
+def _period_and_gaps(stream: SampleStream, cfg: SegmentationConfig) -> tuple[int, list[int]]:
+    """The modal inter-sample interval, ties resolving to the smaller value,
+    and the indices of the intervals strictly above its gap threshold."""
     t = stream.t
-    return tuple(map(sub, islice(t, 1, None), t))
-
-
-def _modal_period(intervals: tuple[int, ...], source_id: str) -> int:
+    intervals = tuple(map(sub, islice(t, 1, None), t))
     if not intervals:
-        raise InsufficientDataError(f"{source_id}: nominal period needs at least 2 samples")
+        raise InsufficientDataError(f"{stream.source_id}: nominal period needs at least 2 samples")
     counts = Counter(intervals)
     best = max(counts.values())
-    return min(d for d, c in counts.items() if c == best)
-
-
-def _gap_indices(intervals: tuple[int, ...], threshold: Fraction | int) -> list[int]:
+    period = min(d for d, c in counts.items() if c == best)
     # intervals are integers, so "> threshold" is "> floor(threshold)"
-    return list(compress(count(), map(floor(threshold).__lt__, intervals)))
+    above = floor(cfg.gap_threshold(period)).__lt__
+    return period, list(compress(count(), map(above, intervals)))
 
 
 def nominal_period(stream: SampleStream) -> int:
     """Modal inter-sample difference; ties resolve to the smaller value."""
-    return _modal_period(_intervals(stream), stream.source_id)
+    return _period_and_gaps(stream, SegmentationConfig())[0]
 
 
 def detect_gaps(
     stream: SampleStream, config: SegmentationConfig | None = None
 ) -> tuple[Gap, ...]:
     """Ordered oversized intervals, each strictly above the gap threshold."""
-    cfg = config or SegmentationConfig()
-    intervals = _intervals(stream)
-    threshold = cfg.gap_threshold(_modal_period(intervals, stream.source_id))
     t = stream.t
-    return tuple(Gap(i, t[i], t[i + 1]) for i in _gap_indices(intervals, threshold))
+    gaps = _period_and_gaps(stream, config or SegmentationConfig())[1]
+    return tuple(Gap(i, t[i], t[i + 1]) for i in gaps)
 
 
 def segment(
@@ -160,12 +155,8 @@ def segment(
     cfg = config or SegmentationConfig()
     t, status = stream.t, stream.status
     strokes: list[Stroke] = []
-    period = 0
-    gaps: set[int] = set()
-    if len(t) > 1:
-        intervals = _intervals(stream)
-        period = _modal_period(intervals, stream.source_id)
-        gaps = set(_gap_indices(intervals, cfg.gap_threshold(period)))
+    period, found = _period_and_gaps(stream, cfg) if len(t) > 1 else (0, ())
+    gaps = set(found)
     changes = compress(count(), map(ne, status, islice(status, 1, None)))
     run_start = 0
     # a run of same-status samples ends at a gap or before a status change

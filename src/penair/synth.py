@@ -198,8 +198,6 @@ def _verify_unambiguous(
     # Run the segmenter's own gap detection and confirm it finds exactly the
     # planned gaps. SynthSpec's invariants make failures impossible for sane
     # plans; this guards degenerate ones loudly.
-    if len(stream.t) < 2:
-        return
     cfg = SegmentationConfig(spec.gap_factor)
     found = {(g.start_t, g.end_t) for g in detect_gaps(stream, cfg)}
     planned = {(start, end) for cls, start, end in gt if cls is StrokeClass.IN_AIR_LONG}

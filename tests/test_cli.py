@@ -585,6 +585,19 @@ def test_manifest_fan_out_reaps_every_child_on_every_path(tmp_path, capsys, monk
     assert capsys.readouterr().err == (
         "error: worker process exited with status 7 before sending its results\n")
     no_child_left()
+    monkeypatch.setattr(cli, "_reduce_files", real)
+    forks, real_fork = [], os.fork
+
+    def fork_once():  # the second fork fails, after the first child started
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    assert main(["features", str(manifest)]) == 2
+    assert capsys.readouterr().err == "error: [Errno 11] Resource temporarily unavailable\n"
+    no_child_left()
 
 
 def test_compare_database_filter(tmp_path, capsys):

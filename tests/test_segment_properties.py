@@ -13,7 +13,9 @@ from penair import (
     SegmentationConfig,
     StrokeClass,
     compare_cohorts,
+    detect_gaps,
     feature_vector,
+    nominal_period,
     segment,
 )
 
@@ -68,6 +70,18 @@ def test_long_strokes_never_rise_with_gap_factor(stream, f1, f2, floor_ticks):
         return seg.class_counts[StrokeClass.IN_AIR_LONG]
 
     assert long_strokes(high) <= long_strokes(low)
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams(min_size=2), gap_factors, min_gap_ticks)
+def test_period_and_gaps_agree_with_segment(stream, factor, floor_ticks):
+    cfg = SegmentationConfig(factor, floor_ticks)
+    seg = segment(stream, cfg)
+    assert nominal_period(stream) == seg.nominal_period
+    long_strokes = [s for s in seg.strokes if s.cls == StrokeClass.IN_AIR_LONG]
+    assert list(detect_gaps(stream, cfg)) == [
+        (s.sample_range[0] - 1, s.start_t, s.end_t) for s in long_strokes
+    ]
 
 
 def features(stream, cfg, policy=None):

@@ -42,6 +42,8 @@ def test_nominal_period_tie_takes_smaller():
 def test_nominal_period_needs_two_samples():
     with pytest.raises(InsufficientDataError):
         nominal_period(stream_from([5], [1]))
+    with pytest.raises(InsufficientDataError):
+        detect_gaps(stream_from([5], [1]))
 
 
 def test_no_gaps_in_constant_stream():
