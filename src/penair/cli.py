@@ -30,6 +30,7 @@ from .errors import (
 )
 from .features import AnomalyPolicy, Feature, aggregate_cohort, feature_vector
 from .ingest import (
+    MANIFEST_HEADER,
     ParseOptions,
     ParseWarning,
     SampleStream,
@@ -297,9 +298,7 @@ def _collect_vectors(manifest_path: str, args, cfg: RunConfig):
 
 def _cmd_features(args, cfg: RunConfig) -> int:
     vectors = _collect_vectors(args.manifest, args, cfg)
-    header = ("path", "database", "task", "subject", "cohort") + tuple(
-        f.value for f in Feature
-    ) + ("anomalous",)
+    header = MANIFEST_HEADER + tuple(f.value for f in Feature) + ("anomalous",)
     rows = []
     for v in vectors:
         rec = v.source

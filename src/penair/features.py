@@ -29,14 +29,7 @@ class Feature(Enum):
     STROKES_IN_AIR_LONG = "Strokes_AL"
 
 
-_FEATURE_ATTR = {
-    Feature.TIME_ON_SURFACE: "time_on_surface",
-    Feature.TIME_IN_AIR_SHORT: "time_in_air_short",
-    Feature.TIME_IN_AIR_LONG: "time_in_air_long",
-    Feature.STROKES_ON_SURFACE: "strokes_on_surface",
-    Feature.STROKES_IN_AIR_SHORT: "strokes_in_air_short",
-    Feature.STROKES_IN_AIR_LONG: "strokes_in_air_long",
-}
+_FEATURE_ATTR = {f: f.name.lower() for f in Feature}
 
 
 @dataclass(frozen=True)

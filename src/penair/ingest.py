@@ -23,7 +23,10 @@ every warning and error comes from the line reader, so the subset is only
 read faster.
 
 Manifest format: CSV with the exact header ``path,database,task,subject,cohort``.
-Relative paths are resolved against the manifest's own directory.
+Relative paths are resolved against the manifest's own directory. A manifest
+may hold no NUL, and no field longer than ``csv.field_size_limit()``; either
+is a ManifestError naming the line. :func:`csv_text` writes every CSV that
+penair writes, manifests and tables alike.
 
 Bytes that are not UTF-8 are a ParseError in a sample file and a
 ManifestError in a manifest; the message names the file and the byte offset.
@@ -36,12 +39,13 @@ import csv
 import io
 import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import lt
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import (
@@ -112,12 +116,11 @@ class SampleStream:
 
     @classmethod
     def from_columns(cls, x, y, t, status, azimuth=None, altitude=None, pressure=None,
-                     *, source_id: str = "<stream>",
-                     warnings: tuple[ParseWarning, ...] = ()) -> "SampleStream":
+                     *, source_id: str = "<stream>") -> "SampleStream":
         """Build a stream from integer columns of equal length; omitted
         auxiliary columns are zero-filled."""
         columns = _checked_columns(source_id, x, y, t, status, azimuth, altitude, pressure)
-        return cls._from_valid_columns(columns, source_id, warnings)
+        return cls._from_valid_columns(columns, source_id, ())
 
     @classmethod
     def _from_valid_columns(cls, columns, source_id, warnings) -> "SampleStream":
@@ -385,12 +388,21 @@ def load_manifest(text: str, base_dir: str | Path | None = None) -> tuple[Manife
     """Parse a corpus manifest from CSV text.
 
     Returns the records in file order; a header-only manifest is valid and
-    empty. Raises ManifestError for a
+    empty. Raises ManifestError for a NUL, a field over csv's field limit, a
     missing or misspelled header, a row with the wrong field count, an empty
     label, or a duplicate (database, task, subject, path) combination.
     """
+    # refused before csv sees it: Python 3.10's reader refuses a NUL, later ones keep it
+    if "\0" in text:
+        lines = enumerate(io.StringIO(text, newline=""), start=1)
+        lineno = next(n for n, line in lines if "\0" in line)
+        raise ManifestError(f"line {lineno}: NUL byte")
     # csv splits the lines itself, so a quoted label may hold a line break
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise ManifestError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise ManifestError("missing manifest header")
     header = tuple(h.strip() for h in rows[0])
@@ -420,6 +432,18 @@ def load_manifest(text: str, base_dir: str | Path | None = None) -> tuple[Manife
             path = base / path
         records.append(ManifestRecord(path, database, task, subject, cohort))
     return tuple(records)
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """CSV text of ``header`` then ``rows``: ``"\\n"`` line ends, a field
+    quoted only where it must be. load_manifest reads it back field for field."""
+    lines: list[str] = []
+    # a "\r" in the terminator makes csv quote a field holding one, which only
+    # Python 3.13 on does unasked; each row's "\r\n" is then cut to "\n"
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return "".join([line[:-2] + "\n" for line in lines])
 
 
 def read_manifest(path: str | Path) -> tuple[ManifestRecord, ...]:

@@ -7,14 +7,12 @@ byte-identical to the ElementTree serialisation of earlier releases.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .features import AnomalyPolicy, CohortSummary, Feature
-from .ingest import SampleStream
+from .ingest import SampleStream, csv_text
 from .segmentation import SegmentationConfig, SessionSegmentation, StrokeClass
 
 if TYPE_CHECKING:  # annotations only: a table renderer does not load the rank tests
@@ -83,14 +81,6 @@ def _p_cell(result: RankTestResult) -> str:
     return text + "*" if result.significant else text
 
 
-def _csv_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     lines = [
         "| " + " | ".join(header) + " |",
@@ -104,7 +94,7 @@ def format_table(header, rows, fmt: str) -> str:
     """Render a plain header+rows table in the requested format."""
     if fmt == TableFormat.MARKDOWN:
         return _md_table(header, rows)
-    return _csv_table(header, rows)
+    return csv_text(header, rows)
 
 
 def render_time_table(summaries: Sequence[CohortSummary], fmt: str = TableFormat.CSV) -> str:

@@ -17,7 +17,6 @@ depend on how randint is implemented.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import random
 from configparser import ConfigParser, Error as ConfigParserError
@@ -26,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import SynthSpecError
-from .ingest import MANIFEST_HEADER, SampleStream, read_text, serialize_session
+from .ingest import MANIFEST_HEADER, SampleStream, csv_text, read_text, serialize_session
 from .segmentation import SegmentationConfig, StrokeClass, detect_gaps, nominal_period
 
 
@@ -289,9 +288,11 @@ class CorpusSpec:
     def __post_init__(self):
         if not self.cohorts:
             raise SynthSpecError("corpus spec declares no cohorts")
-        # the manifest refuses an empty label, so synth must not write one
+        # the manifest refuses an empty label or a NUL, so synth must not write one
         if not all(label.strip() for label in (self.database, self.task, *self.cohorts)):
             raise SynthSpecError("database, task and cohort names must not be empty")
+        if "\0" in self.database + self.task:
+            raise SynthSpecError("database and task names must not hold NUL")
         for name in self.cohorts:  # a cohort name starts its files' names
             if {"/", "\\", "\0"} & set(name):
                 raise SynthSpecError(f"cohort name {name!r} holds '/', '\\' or NUL")
@@ -335,10 +336,7 @@ def generate_corpus(
     for (name, *_), text in zip(rows, texts):
         (out / name).write_text(text, encoding="utf-8")
     manifest = out / "manifest.csv"
-    with open(manifest, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MANIFEST_HEADER)
-        writer.writerows(rows)
+    manifest.write_text(csv_text(MANIFEST_HEADER, rows), encoding="utf-8", newline="")
     return manifest
 
 

@@ -199,6 +199,17 @@ def test_synth_bad_spec_exits_two(tmp_path, capsys):
                  "--out", str(tmp_path / "c")]) == 2
 
 
+def test_synth_refuses_nul_in_database_and_writes_nothing(tmp_path, capsys):
+    spec = tmp_path / "corpus.ini"
+    spec.write_text(CORPUS_INI.replace("database = demo", "database = de\0mo"), encoding="utf-8")
+    out = tmp_path / "c"
+    assert main(["synth", "--spec", str(spec), "--seed", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: database and task names must not hold NUL\n"
+    assert not out.exists()
+
+
 def test_synth_writes_manifest_path(tmp_path, capsys):
     manifest = make_corpus(tmp_path)
     out = capsys.readouterr().out.strip()
@@ -261,6 +272,30 @@ def test_aggregate_bad_manifest_exits_two(tmp_path, capsys):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("wrong,header,entirely,x,y\n", encoding="utf-8")
     assert main(["aggregate", str(manifest)]) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_manifest_csv_faults_exit_two_naming_the_line(tmp_path, capsys, monkeypatch, workers):
+    # csv refuses an over-long field, and Python 3.10's csv a NUL, while 3.11's
+    # keeps a NUL for open() to refuse: each is one error line on every Python
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    write_session(tmp_path, "good.svc")
+    header = "path,database,task,subject,cohort\n"
+    cases = [
+        (f"{'a' * 200_000}.svc,db,copy,s0,control\n",
+         "line 2: field larger than field limit (131072)"),
+        ("good.svc,db,copy,s0,control\nbad\0.svc,db,copy,s1,patient\n", "line 3: NUL byte"),
+        ('good.svc,db,"co\npy",s0,control\ngood.svc,d\0b,copy,s1,patient\n', "line 4: NUL byte"),
+    ]
+    manifest = tmp_path / "manifest.csv"
+    for rows, message in cases:
+        manifest.write_text(header + rows, encoding="utf-8")
+        for argv in (["features", str(manifest)], ["aggregate", str(manifest)],
+                     ["compare", str(manifest), "--cohort-a", "control", "--cohort-b", "patient"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
 
 
 def test_compare_long_table(tmp_path, capsys):

@@ -3,7 +3,8 @@
 Each example writes generated bytes (near-valid recordings, arbitrary text,
 arbitrary bytes, empty files) or points at a directory, runs one command and
 checks the CLI contract: the exit code is 0, 2 or 3, stderr holds no
-traceback, and stdout is empty whenever the exit is nonzero. ``synth`` runs
+traceback, and stdout is empty whenever the exit is nonzero. A manifest's own
+path and label fields may hold NUL, commas, quotes and line breaks. ``synth`` runs
 on generated corpus specs and raw bytes, and ``features`` must accept every
 manifest it writes.
 """
@@ -16,6 +17,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from penair.cli import main
+from penair.ingest import MANIFEST_HEADER, csv_text
 
 _FIELD = st.one_of(
     st.integers(-3, 12).map(str),
@@ -107,17 +109,22 @@ def test_single_file_commands_keep_exit_contract(command, data, flags):
 # "dir" a directory
 _ENTRY = st.sampled_from(["good"] * 6 + ["bad", "bad", "missing", "dir"])
 GOOD = "0 0 0 1\n1 1 2 1\n2 2 4 0\n3 3 6 0\n4 4 14 0\n5 5 16 1\n"
+# now and then one of a row's path and label fields is replaced by text that
+# may hold NUL, commas, quotes, line breaks and spaces
+_ODD_FIELD = st.one_of(st.none(), st.none(), st.tuples(
+    st.integers(0, 4), st.text(st.sampled_from('ab\xe9 ,"\n\r\0'), max_size=6)))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(entries=st.lists(st.tuples(_ENTRY, FILE_BYTES, st.sampled_from(["control", "patient"])),
+@given(entries=st.lists(st.tuples(_ENTRY, FILE_BYTES, st.sampled_from(["control", "patient"]),
+                                  _ODD_FIELD),
                         max_size=6),
        command=st.sampled_from(["features", "aggregate", "compare"]))
 def test_manifest_commands_keep_exit_contract(entries, command):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        rows = ["path,database,task,subject,cohort"]
-        for i, (kind, data, cohort) in enumerate(entries):
+        rows = []
+        for i, (kind, data, cohort, odd) in enumerate(entries):
             path = root / f"f{i}.svc"
             if kind == "good":
                 path.write_text(GOOD, encoding="utf-8")
@@ -125,9 +132,12 @@ def test_manifest_commands_keep_exit_contract(entries, command):
                 path.write_bytes(data)
             elif kind == "dir":
                 path.mkdir()
-            rows.append(f"{path.name},db,copy,s{i},{cohort}")
+            row = [path.name, "db", "copy", f"s{i}", cohort]
+            if odd is not None:
+                row[odd[0]] = odd[1]
+            rows.append(row)
         manifest = root / "manifest.csv"
-        manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        manifest.write_text(csv_text(MANIFEST_HEADER, rows), encoding="utf-8", newline="")
         argv = [command, str(manifest)]
         if command == "compare":
             argv += ["--cohort-a", "control", "--cohort-b", "patient"]

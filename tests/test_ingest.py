@@ -2,8 +2,10 @@ import csv
 import io
 import random
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from penair import (
     EmptyInputError,
@@ -20,6 +22,7 @@ from penair import (
     serialize_session,
 )
 from penair import ingest
+from penair.ingest import MANIFEST_HEADER, ManifestRecord, csv_text
 from penair.cli import main
 
 
@@ -214,6 +217,33 @@ def test_read_manifest_resolves_against_parent(tmp_path):
     )
     manifest = read_manifest(tmp_path / "corpus" / "manifest.csv")
     assert manifest[0].path == tmp_path / "corpus" / "rec" / "a.svc"
+
+
+# a label as load_manifest keeps it: stripped, not empty and free of NUL; half
+# are drawn from the characters that make csv quote a field
+_LABEL = st.one_of(st.text(st.sampled_from(',"\r\n a\xe9'), min_size=1, max_size=8),
+                   st.text(st.characters(exclude_characters="\0"), min_size=1, max_size=8),
+                   ).map(str.strip).filter(bool)
+
+
+@given(st.lists(st.tuples(_LABEL, _LABEL, _LABEL, _LABEL, _LABEL), max_size=8,
+                unique_by=lambda row: row[3]))
+def test_manifest_written_by_csv_text_reads_back_in_order(rows):
+    records = load_manifest(csv_text(MANIFEST_HEADER, rows))
+    assert records == tuple(ManifestRecord(Path(path), *labels) for path, *labels in rows)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("path,database,task,subject,cohort\na\0b.svc,db,sig,s01,control\n", "line 2: NUL byte"),
+    ('path,database,task,subject,cohort\n"a.svc",db,"s\n\0",s01,control\n', "line 3: NUL byte"),
+    ("path,database,task,subject,cohort\na.svc,db,sig,s01,control\r"
+     "b.svc,d\0b,sig,s02,control\n", "line 3: NUL byte"),
+    (f"path,database,task,subject,cohort\n{'a' * 200_000},db,sig,s01,control\n",
+     "line 2: field larger than field limit"),
+], ids=["nul", "nul_in_quoted_field", "nul_after_bare_cr", "over_long_field"])
+def test_manifest_csv_faults_name_their_line(text, message):
+    with pytest.raises(ManifestError, match=f"^{message}"):
+        load_manifest(text)
 
 
 # The field grammar is Python's: int() literals, str.split fields and
