@@ -24,9 +24,12 @@ read faster.
 
 Manifest format: CSV with the exact header ``path,database,task,subject,cohort``.
 Relative paths are resolved against the manifest's own directory. A manifest
-may hold no NUL, and no field longer than ``csv.field_size_limit()``; either
-is a ManifestError naming the line. :func:`csv_text` writes every CSV that
-penair writes, manifests and tables alike.
+may hold no NUL, and no field longer than ``csv.field_size_limit()``. A
+manifest file is read with its line ends as written, as csv expects, so a
+quoted ``"\\r"`` stays one; a recording is read with universal newlines.
+Every ManifestError names a physical line: a NUL the line that holds it, any
+other fault the first line of its record. :func:`csv_text` writes every CSV
+that penair writes, manifests and tables alike.
 
 Bytes that are not UTF-8 are a ParseError in a sample file and a
 ManifestError in a manifest; the message names the file and the byte offset.
@@ -39,7 +42,7 @@ import csv
 import io
 import re
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -348,12 +351,14 @@ def parse_session(
                                             tuple(builder.warnings))
 
 
-def read_text(path: Path, error: type[Exception]) -> str:
-    """A file's UTF-8 text with universal newlines, a leading byte order mark
-    dropped. Bytes that are not UTF-8 raise ``error`` naming the file and the
-    offset of the first bad byte."""
+def read_text(path: Path, error: type[Exception], newline: str | None = None) -> str:
+    """A file's UTF-8 text, a leading byte order mark dropped, its line ends
+    translated as ``open(newline=newline)`` does: to ``"\\n"`` by default,
+    none with ``newline=""``. Bytes that are not UTF-8 raise ``error`` naming
+    the file and the offset of the first bad byte."""
     try:
-        return path.read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig", newline=newline) as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         # the codec counts from after a byte order mark, the file from its start
         bom = path.read_bytes().startswith(codecs.BOM_UTF8)
@@ -388,50 +393,64 @@ def load_manifest(text: str, base_dir: str | Path | None = None) -> tuple[Manife
     """Parse a corpus manifest from CSV text.
 
     Returns the records in file order; a header-only manifest is valid and
-    empty. Raises ManifestError for a NUL, a field over csv's field limit, a
-    missing or misspelled header, a row with the wrong field count, an empty
-    label, or a duplicate (database, task, subject, path) combination.
+    empty, and a blank line is skipped. Raises ManifestError for a NUL, a
+    field over csv's field limit, a missing or misspelled header, a row with
+    the wrong field count, an empty label, or a duplicate (database, task,
+    subject, path) combination. The error names a line, counted as csv counts
+    them (``"\\n"``, ``"\\r"`` and ``"\\r\\n"`` each end one): a NUL's own
+    line, and for any other fault the first line of its record.
     """
     # refused before csv sees it: Python 3.10's reader refuses a NUL, later ones keep it
     if "\0" in text:
         lines = enumerate(io.StringIO(text, newline=""), start=1)
         lineno = next(n for n, line in lines if "\0" in line)
         raise ManifestError(f"line {lineno}: NUL byte")
-    # csv splits the lines itself, so a quoted label may hold a line break
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:  # such as a field over csv.field_size_limit()
-        raise ManifestError(f"line {reader.line_num}: {exc}") from None
-    if not rows:
+    rows = _csv_records(text)
+    _, names = next(rows, (1, None))
+    if names is None:
         raise ManifestError("missing manifest header")
-    header = tuple(h.strip() for h in rows[0])
-    if header != MANIFEST_HEADER:
+    if tuple(h.strip() for h in names) != MANIFEST_HEADER:
         raise ManifestError(
-            f"bad manifest header {','.join(rows[0])!r}; "
+            f"bad manifest header {','.join(names)!r}; "
             f"expected {','.join(MANIFEST_HEADER)!r}"
         )
     base = Path(base_dir) if base_dir is not None else None
     records: list[ManifestRecord] = []
     seen: set[tuple[str, str, str, str]] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows:
         if not row:
             continue
         if len(row) != len(MANIFEST_HEADER):
-            raise ManifestError(f"row {lineno}: expected {len(MANIFEST_HEADER)} fields, got {len(row)}")
+            raise ManifestError(f"line {lineno}: expected {len(MANIFEST_HEADER)} fields, "
+                                f"got {len(row)}")
         path_str, database, task, subject, cohort = (f.strip() for f in row)
         for name, value in zip(MANIFEST_HEADER, (path_str, database, task, subject, cohort)):
             if not value:
-                raise ManifestError(f"row {lineno}: empty {name}")
+                raise ManifestError(f"line {lineno}: empty {name}")
         key = (database, task, subject, path_str)
         if key in seen:
-            raise ManifestError(f"row {lineno}: duplicate record {key}")
+            raise ManifestError(f"line {lineno}: duplicate record {key}")
         seen.add(key)
         path = Path(path_str)
         if base is not None and not path.is_absolute():
             path = base / path
         records.append(ManifestRecord(path, database, task, subject, cohort))
     return tuple(records)
+
+
+def _csv_records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``(first line, fields)`` of each CSV record of ``text``, in one pass.
+    csv splits the lines itself, so a quoted field may hold a line break."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    while True:
+        lineno = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ManifestError(f"line {lineno}: {exc}") from None
+        yield lineno, row
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -449,5 +468,5 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
 def read_manifest(path: str | Path) -> tuple[ManifestRecord, ...]:
     """Read a manifest file, resolving relative paths against its directory."""
     p = Path(path)
-    return load_manifest(read_text(p, ManifestError), base_dir=p.parent)
+    return load_manifest(read_text(p, ManifestError, newline=""), base_dir=p.parent)
 

@@ -24,8 +24,9 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import SynthSpecError
-from .ingest import MANIFEST_HEADER, SampleStream, csv_text, read_text, serialize_session
+from .errors import ManifestError, SynthSpecError
+from .ingest import (MANIFEST_HEADER, SampleStream, csv_text, load_manifest, read_text,
+                     serialize_session)
 from .segmentation import SegmentationConfig, StrokeClass, detect_gaps, nominal_period
 
 
@@ -293,9 +294,14 @@ class CorpusSpec:
             raise SynthSpecError("database, task and cohort names must not be empty")
         if "\0" in self.database + self.task:
             raise SynthSpecError("database and task names must not hold NUL")
-        for name in self.cohorts:  # a cohort name starts its files' names
+        for name, cohort in self.cohorts.items():  # a cohort name starts its files' names
             if {"/", "\\", "\0"} & set(name):
                 raise SynthSpecError(f"cohort name {name!r} holds '/', '\\' or NUL")
+            # the file-name limit of common Linux and macOS file systems
+            longest = len(f"{name}_{cohort.n_files - 1:03d}.svc".encode())
+            if longest > 255:
+                raise SynthSpecError(f"cohort {name!r}: a file name of {longest} bytes "
+                                     "is over the limit of 255")
         # each range's smallest draw, so that no seed can draw an entry SynthSpec refuses
         for name, cohort in self.cohorts.items():
             dist = cohort.plan
@@ -313,8 +319,9 @@ def generate_corpus(
 ) -> Path:
     """Write one file per cohort member plus ``manifest.csv``; returns the
     manifest path. Fully determined by (spec, master_seed): same inputs give
-    byte-identical files. Every session is generated before anything is
-    written, so a session the generator refuses leaves no files behind."""
+    byte-identical files. Every session is generated, and the manifest read
+    back by load_manifest, before anything is written, so a session the
+    generator refuses or a manifest the reader refuses leaves no files behind."""
     texts: list[str] = []
     rows: list[tuple[str, str, str, str, str]] = []
     for cohort_name, cohort in spec.cohorts.items():
@@ -331,29 +338,56 @@ def generate_corpus(
             texts.append(serialize_session(stream))
             name = f"{cohort_name}_{i:03d}.svc"
             rows.append((name, spec.database, spec.task, f"{cohort_name}_{i:03d}", cohort_name))
+    manifest_text = csv_text(MANIFEST_HEADER, rows)
+    try:  # what the manifest reader would refuse is not written
+        load_manifest(manifest_text)
+    except ManifestError as exc:
+        raise SynthSpecError(f"manifest.csv would be refused: {exc}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for (name, *_), text in zip(rows, texts):
         (out / name).write_text(text, encoding="utf-8")
     manifest = out / "manifest.csv"
-    manifest.write_text(csv_text(MANIFEST_HEADER, rows), encoding="utf-8", newline="")
+    manifest.write_text(manifest_text, encoding="utf-8", newline="")
     return manifest
 
 
-def _parse_range(raw: str, context: str) -> IntRange:
+def _parse_range(raw: str) -> IntRange:
     lo, sep, hi = raw.strip().partition("..")
     try:
         return IntRange(int(lo), int(hi if sep else lo))
     except ValueError:
-        raise SynthSpecError(f"{context}: bad range {raw!r} (want N or LO..HI)") from None
+        raise ValueError(f"bad range {raw!r} (want N or LO..HI)") from None
+
+
+# The keys each section may hold and the function that reads each value.
+_CORPUS_KEYS = {"period": int, "jitter": int, "gap_factor": Fraction,
+                "database": str.strip, "task": str.strip}
+_COHORT_KEYS = {"files": int, **{f.name: _parse_range for f in fields(PlanDistribution)}}
+
+
+def _read_section(parser: ConfigParser, section: str, readers: dict, required) -> dict:
+    """The keys of ``section``, each read by its reader in ``readers``; a key
+    not in ``readers``, an absent ``required`` key or a value its reader
+    refuses is a SynthSpecError naming the section."""
+    values = parser[section]
+    if unknown := next((key for key in values if key not in readers), None):
+        raise SynthSpecError(f"[{section}] unknown key {unknown!r}")
+    if missing := [key for key in required if key not in values]:
+        raise SynthSpecError(f"[{section}] missing {', '.join(missing)}")
+    try:
+        return {key: readers[key](value) for key, value in values.items()}
+    except (ValueError, ZeroDivisionError, SynthSpecError) as exc:
+        raise SynthSpecError(f"[{section}]: {exc}") from None
 
 
 def load_corpus_spec(text: str) -> CorpusSpec:
     """Parse the declarative corpus format (INI syntax).
 
-    One ``[corpus]`` section with period, jitter, and optional gap_factor,
-    database, and task; one ``[cohort NAME]`` section per cohort with files
-    plus the plan ranges. Ranges are ``N`` or ``LO..HI`` inclusive::
+    One ``[corpus]`` section with period and optional jitter (default 0),
+    gap_factor, database and task (CorpusSpec's defaults); one ``[cohort
+    NAME]`` section per cohort with files plus the plan ranges. Ranges are
+    ``N`` or ``LO..HI`` inclusive::
 
         [corpus]
         period = 2
@@ -368,23 +402,18 @@ def load_corpus_spec(text: str) -> CorpusSpec:
         air_ticks = 100..400
         gaps = 1..4
         gap_ticks = 60..140
+
+    Another key or section, ``[DEFAULT]`` too, is a SynthSpecError.
     """
-    parser = ConfigParser(interpolation=None)  # a % in a label is a plain character
+    # a % in a label is plain text; no header can name "", so [DEFAULT] is an ordinary section
+    parser = ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except ConfigParserError as exc:
         raise SynthSpecError(f"bad corpus spec: {exc}") from None
     if "corpus" not in parser:
         raise SynthSpecError("corpus spec needs a [corpus] section")
-    corpus = parser["corpus"]
-    try:
-        period = corpus.getint("period")
-        jitter = corpus.getint("jitter", 0)
-        gap_factor = Fraction(corpus.get("gap_factor", str(CorpusSpec.gap_factor)).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SynthSpecError(f"[corpus]: {exc}") from None
-    if period is None:
-        raise SynthSpecError("[corpus] must set period")
+    corpus = {"jitter": 0} | _read_section(parser, "corpus", _CORPUS_KEYS, ["period"])
     cohorts: dict[str, CohortSpec] = {}
     for section in parser.sections():
         if section == "corpus":
@@ -394,27 +423,9 @@ def load_corpus_spec(text: str) -> CorpusSpec:
         name = section[len("cohort "):].strip()
         if not name:
             raise SynthSpecError("cohort section needs a name")
-        sec = parser[section]
-        try:
-            n_files = sec.getint("files")
-        except ValueError as exc:
-            raise SynthSpecError(f"[{section}]: {exc}") from None
-        if n_files is None:
-            raise SynthSpecError(f"[{section}] must set files")
-        keys = [f.name for f in fields(PlanDistribution)]
-        missing = [key for key in keys if key not in sec]
-        if missing:
-            raise SynthSpecError(f"[{section}] missing {', '.join(missing)}")
-        plan = PlanDistribution(**{key: _parse_range(sec[key], section) for key in keys})
-        cohorts[name] = CohortSpec(n_files, plan)
-    return CorpusSpec(
-        nominal_period=period,
-        jitter=jitter,
-        cohorts=cohorts,
-        database=corpus.get("database", "synth").strip(),
-        task=corpus.get("task", "synth").strip(),
-        gap_factor=gap_factor,
-    )
+        plan = _read_section(parser, section, _COHORT_KEYS, _COHORT_KEYS)
+        cohorts[name] = CohortSpec(plan.pop("files"), PlanDistribution(**plan))
+    return CorpusSpec(nominal_period=corpus.pop("period"), cohorts=cohorts, **corpus)
 
 
 def read_corpus_spec(path: str | Path) -> CorpusSpec:

@@ -832,3 +832,33 @@ def test_cyclic_garbage_of_a_command_does_not_grow_with_its_input(tmp_path, caps
                  ["render", str(short)], ["render", str(long)]):
         assert cyclic_garbage(lambda: main(argv)) == parser_only
         assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("jitter = 1", "jitter = 1\ngap_factr = 1.5", "[corpus] unknown key 'gap_factr'"),
+    ("files = 4", "files = 4\nfile = 2", "[cohort control] unknown key 'file'"),
+    ("[corpus]", "[DEFAULT]\nfiles = 2\n\n[corpus]", "unexpected section [DEFAULT]"),
+    ("database = demo", f"database = {'d' * 140_000}",
+     "manifest.csv would be refused: line 2: field larger than field limit (131072)"),
+    ("[cohort patient]", f"[cohort {'p' * 300}]",
+     f"cohort {'p' * 300!r}: a file name of 308 bytes is over the limit of 255"),
+], ids=["corpus_key_typo", "unknown_cohort_key", "default_section", "over_long_database",
+        "over_long_cohort_name"])
+def test_synth_refuses_a_spec_with_one_error_line_and_writes_nothing(tmp_path, capsys,
+                                                                      old, new, message):
+    spec = tmp_path / "corpus.ini"
+    spec.write_text(CORPUS_INI.replace(old, new, 1), encoding="utf-8")
+    out = tmp_path / "c"
+    assert main(["synth", "--spec", str(spec), "--seed", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_usable_cpus_without_affinity_or_fork(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli._usable_cpus() == (3 if hasattr(os, "fork") else 1)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert cli._usable_cpus() == 1

@@ -110,6 +110,17 @@ def test_stream_requires_increasing_timestamps():
         SampleStream.from_columns((), (), (), ())
 
 
+def test_stream_columns_must_be_of_equal_length():
+    with pytest.raises(ValueError, match="^<stream>: columns differ in length$"):
+        SampleStream.from_columns([0, 1], [0, 1], [5, 6], [0, 0], pressure=[0])
+
+
+def test_samples_slice_to_a_tuple_of_rows():
+    stream = parse_session("1 2 10 1 0 0 5\n3 4 12 0 0 0 0\n5 6 14 1 0 0 7\n")
+    assert stream.samples[1:] == ((3, 4, 12, 0, 0, 0, 0), (5, 6, 14, 1, 0, 0, 7))
+    assert stream.samples[::-2] == ((5, 6, 14, 1, 0, 0, 7), (1, 2, 10, 1, 0, 0, 5))
+
+
 def test_serialize_parse_round_trip():
     rng = random.Random(20113)
     for _ in range(25):
@@ -201,6 +212,31 @@ def test_manifest_field_count_and_empty_labels():
         load_manifest("path,database,task,subject,cohort\na.svc,db,sig,s01\n")
     with pytest.raises(ManifestError):
         load_manifest("path,database,task,subject,cohort\na.svc,db,,s01,control\n")
+
+
+def test_manifest_skips_a_blank_line():
+    text = "path,database,task,subject,cohort\n\na.svc,db,sig,s01,control\n\n"
+    assert [r.subject for r in load_manifest(text)] == ["s01"]
+
+
+def test_manifest_errors_name_the_first_line_of_their_record():
+    # the quoted subject of line 2 runs on to line 3, so the third record starts on line 4
+    text = ('path,database,task,subject,cohort\na.svc,db,sig,"s\n01",control\n'
+            "b.svc,db,sig,s02,\n")
+    with pytest.raises(ManifestError, match="^line 4: empty cohort$"):
+        load_manifest(text)
+    with pytest.raises(ManifestError, match="^line 4: expected 5 fields, got 4$"):
+        load_manifest(text.replace("s02,", "s02"))
+
+
+def test_crlf_manifest_with_bom_reads_as_its_lf_copy(tmp_path):
+    text = ('path,database,task,subject,cohort\na.svc,db,"s,g",s01,control\n'
+            "b.svc,db,sig,s02,patient\n")
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+    assert read_manifest(crlf) == read_manifest(lf)
+    assert len(read_manifest(lf)) == 2
 
 
 def test_manifest_absolute_path_kept(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -339,3 +340,49 @@ gap_ticks = 30
             load_corpus_spec(text.replace(old, new))
     with pytest.raises(SynthSpecError, match="must not be empty"):
         CorpusSpec(nominal_period=2, jitter=0, cohorts=small_corpus_spec().cohorts, task="")
+
+
+SPEC_INI = """[corpus]
+period = 2
+jitter = 1
+
+[cohort c]
+files = 2
+surface_strokes = 2..4
+surface_ticks = 100..300
+air_ticks = 50..150
+gaps = 1..2
+gap_ticks = 40..100
+"""
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("[corpus]", "[DEFAULT]\n\n[corpus]", r"^unexpected section \[DEFAULT\]$"),
+    ("period = 2\n", "", r"^\[corpus\] missing period$"),
+    ("gaps = 1..2\n", "", r"^\[cohort c\] missing gaps$"),
+    ("100..300", "x", r"^\[cohort c\]: bad range 'x' \(want N or LO\.\.HI\)$"),
+    ("100..300", "5..3", r"^\[cohort c\]: empty range 5\.\.3$"),
+    ("jitter = 1", "jitter = one", r"^\[corpus\]: invalid literal for int\(\)"),
+])
+def test_spec_refusals_name_their_section(old, new, message):
+    # the synth CLI tests hold an unknown key in each section and [DEFAULT] with keys
+    assert old in SPEC_INI
+    with pytest.raises(SynthSpecError, match=message):
+        load_corpus_spec(SPEC_INI.replace(old, new))
+
+
+def test_cohort_name_keeps_its_file_names_within_255_bytes():
+    dist = small_corpus_spec().cohorts["control"].plan
+    # "{name}_{n_files - 1:03d}.svc": 8 bytes after the name up to 1000 files
+    fits = "\xe9" * 123 + "a"  # 247 bytes of UTF-8
+    CorpusSpec(2, 1, {fits: CohortSpec(1000, dist)})
+    with pytest.raises(SynthSpecError, match=r"a file name of 256 bytes is over the limit"):
+        CorpusSpec(2, 1, {fits: CohortSpec(1001, dist)})
+    with pytest.raises(SynthSpecError, match=r"a file name of 256 bytes is over the limit"):
+        CorpusSpec(2, 1, {fits + "a": CohortSpec(1, dist)})
+
+
+def test_carriage_return_in_a_label_survives_the_manifest(tmp_path):
+    odd = dataclasses.replace(small_corpus_spec(), database="a\rb", task="c\r\nd")
+    records = read_manifest(generate_corpus(odd, tmp_path / "c", master_seed=2))
+    assert {(r.database, r.task) for r in records} == {("a\rb", "c\r\nd")}
