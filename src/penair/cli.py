@@ -1,7 +1,9 @@
 """Command line interface.
 
 Subcommands: parse, segment, features, aggregate, compare, synth, render.
-Data goes to stdout (or --out PATH); diagnostics go to stderr. Exit codes:
+Each handler returns its output text (a table, an SVG, or the manifest path
+synth wrote to its --out DIR); main alone writes it, to --out PATH or else to
+stdout. WARN and error lines go to stderr. Exit codes:
 0 success, 1 usage error, 2 parse/format error, 3 empty-cohort or
 degenerate-data error. Manifest commands read their files in one forked
 process per usable CPU; output and warnings keep manifest order. The
@@ -121,9 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus with a manifest")
     p.add_argument("--spec", required=True, metavar="FILE", help="corpus description (INI format)")
     p.add_argument("--seed", required=True, type=int, metavar="N")
-    p.add_argument("--out", required=True, metavar="DIR",
+    p.add_argument("--out", required=True, metavar="DIR", dest="out_dir",
                    help="directory for the recordings and manifest.csv")
-    p.set_defaults(handler=_cmd_synth)
+    # args.out is the output file everywhere; synth prints its manifest path
+    p.set_defaults(handler=_cmd_synth, out=None)
 
     p = sub.add_parser("render", parents=[common], help="render one recording's trajectories to SVG")
     p.add_argument("file")
@@ -151,13 +154,6 @@ def _print_warnings(warnings: tuple[ParseWarning, ...], shown_path: str) -> None
         sys.stderr.write(f"WARN {shown_path}:{w.line} {w.message}\n")
 
 
-def _emit(text: str, args) -> None:
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _read_recording(args) -> SampleStream:
     """read_session of the single-file commands, its warnings printed."""
     stream = read_session(args.file, _parse_options(args))
@@ -165,7 +161,7 @@ def _read_recording(args) -> SampleStream:
     return stream
 
 
-def _cmd_parse(args, cfg: RunConfig) -> int:
+def _cmd_parse(args, cfg: RunConfig) -> str:
     stream = _read_recording(args)
     t, status, pressure = stream.t, stream.status, stream.pressure
     header = ("source", "n_samples", "t_first", "t_last", "span",
@@ -173,19 +169,17 @@ def _cmd_parse(args, cfg: RunConfig) -> int:
     row = (args.file, len(t), t[0], t[-1], t[-1] - t[0],
            sum(map(ne, status, islice(status, 1, None))), min(pressure), max(pressure),
            len(stream.warnings))
-    _emit(format_table(header, [tuple(map(str, row))], cfg.table_format), args)
-    return EXIT_OK
+    return format_table(header, [tuple(map(str, row))], cfg.table_format)
 
 
-def _cmd_segment(args, cfg: RunConfig) -> int:
+def _cmd_segment(args, cfg: RunConfig) -> str:
     seg = segment(_read_recording(args), cfg.segmentation_config())
     header = ("class", "start_t", "end_t", "duration", "n_samples")
     rows = [
         (s.cls.value, str(s.start_t), str(s.end_t), str(s.duration), str(s.n_samples))
         for s in seg.strokes
     ]
-    _emit(format_table(header, rows, cfg.table_format), args)
-    return EXIT_OK
+    return format_table(header, rows, cfg.table_format)
 
 
 def _usable_cpus() -> int:
@@ -296,7 +290,7 @@ def _collect_vectors(manifest_path: str, args, cfg: RunConfig):
     return vectors
 
 
-def _cmd_features(args, cfg: RunConfig) -> int:
+def _cmd_features(args, cfg: RunConfig) -> str:
     vectors = _collect_vectors(args.manifest, args, cfg)
     header = MANIFEST_HEADER + tuple(f.value for f in Feature) + ("anomalous",)
     rows = []
@@ -307,11 +301,10 @@ def _cmd_features(args, cfg: RunConfig) -> int:
             + tuple(str(v.value(f)) for f in Feature)
             + ("true" if v.anomalous else "false",)
         )
-    _emit(format_table(header, rows, cfg.table_format), args)
-    return EXIT_OK
+    return format_table(header, rows, cfg.table_format)
 
 
-def _cmd_aggregate(args, cfg: RunConfig) -> int:
+def _cmd_aggregate(args, cfg: RunConfig) -> str:
     vectors = _collect_vectors(args.manifest, args, cfg)
     if not vectors:
         raise EmptyCohortError("manifest lists no files")
@@ -320,11 +313,10 @@ def _cmd_aggregate(args, cfg: RunConfig) -> int:
         rec = v.source
         groups.setdefault((rec.database, rec.cohort, rec.task), []).append(v)
     summaries = [aggregate_cohort(groups[key]) for key in sorted(groups)]
-    _emit(render_time_table(summaries, cfg.table_format), args)
-    return EXIT_OK
+    return render_time_table(summaries, cfg.table_format)
 
 
-def _cmd_compare(args, cfg: RunConfig) -> int:
+def _cmd_compare(args, cfg: RunConfig) -> str:
     vectors = _collect_vectors(args.manifest, args, cfg)
     if args.database is not None:
         vectors = [v for v in vectors if v.source.database == args.database]
@@ -349,8 +341,7 @@ def _cmd_compare(args, cfg: RunConfig) -> int:
         for feature in Feature
     ]
     if cfg.table_format == TableFormat.MARKDOWN:
-        _emit(render_p_table(results, TableFormat.MARKDOWN), args)
-        return EXIT_OK
+        return render_p_table(results, TableFormat.MARKDOWN)
     header = ("task", "feature", "n_A", "n_B", "U_A", "p", "method", "significant")
     rows = [
         (
@@ -365,28 +356,23 @@ def _cmd_compare(args, cfg: RunConfig) -> int:
         )
         for r in results
     ]
-    _emit(format_table(header, rows, cfg.table_format), args)
-    return EXIT_OK
+    return format_table(header, rows, cfg.table_format)
 
 
 def _number(x: float) -> str:
     return str(int(x)) if x == int(x) else repr(x)
 
 
-def _cmd_synth(args, cfg: None) -> int:
+def _cmd_synth(args, cfg: None) -> str:
     from .synth import generate_corpus, read_corpus_spec
 
-    spec = read_corpus_spec(args.spec)
-    manifest = generate_corpus(spec, args.out, args.seed)
-    sys.stdout.write(f"{manifest}\n")
-    return EXIT_OK
+    manifest = generate_corpus(read_corpus_spec(args.spec), args.out_dir, args.seed)
+    return f"{manifest}\n"
 
 
-def _cmd_render(args, cfg: RunConfig) -> int:
+def _cmd_render(args, cfg: RunConfig) -> str:
     stream = _read_recording(args)
-    seg = segment(stream, cfg.segmentation_config())
-    _emit(render_trajectories(stream, seg), args)
-    return EXIT_OK
+    return render_trajectories(stream, segment(stream, cfg.segmentation_config()))
 
 
 def main(argv=None) -> int:
@@ -406,7 +392,12 @@ def main(argv=None) -> int:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.handler(args, cfg)
+        text = args.handler(args, cfg)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        return EXIT_OK
     except (EmptyCohortError, DegenerateDataError, InsufficientDataError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DEGENERATE

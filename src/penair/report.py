@@ -68,16 +68,25 @@ TIME_TABLE_COLUMNS = (
 P_TABLE_COLUMNS = ("task",) + tuple(f"p_{f.value}" for f in Feature)
 
 
+def _decimal(x, places: int) -> str:
+    """Non-negative ``x`` (a Fraction, int or float) to ``places`` decimals,
+    its exact value rounded half to even: the rule format() applies to a
+    float, so 23/20 gives 1.2 and 49/20 gives 2.4 at one place."""
+    scale = 10 ** places
+    q = round(Fraction(x) * scale)
+    return f"{q // scale}.{q % scale:0{places}d}"
+
+
 def _time_cell(mean_time, pct) -> str:
-    return f"{float(mean_time):.1f} ({float(pct):.1f}%)"
+    return f"{_decimal(mean_time, 1)} ({_decimal(pct, 1)}%)"
 
 
 def _strokes_cell(mean_strokes) -> str:
-    return f"{float(mean_strokes):.2f}"
+    return _decimal(mean_strokes, 2)
 
 
 def _p_cell(result: RankTestResult) -> str:
-    text = f"{float(result.p):.4f}"
+    text = _decimal(result.p, 4)
     return text + "*" if result.significant else text
 
 

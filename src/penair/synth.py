@@ -27,7 +27,7 @@ from pathlib import Path
 from .errors import ManifestError, SynthSpecError
 from .ingest import (MANIFEST_HEADER, SampleStream, csv_text, load_manifest, read_text,
                      serialize_session)
-from .segmentation import SegmentationConfig, StrokeClass, detect_gaps, nominal_period
+from .segmentation import SegmentationConfig, StrokeClass, segment
 
 
 def file_seed(master_seed: int, label: str) -> int:
@@ -195,17 +195,18 @@ def generate_session(spec: SynthSpec) -> tuple[SampleStream, GroundTruth]:
 def _verify_unambiguous(
     stream: SampleStream, spec: SynthSpec, gt: list[tuple[StrokeClass, int, int]]
 ) -> None:
-    # Run the segmenter's own gap detection and confirm it finds exactly the
+    # Run the segmenter and confirm its long in-air strokes are exactly the
     # planned gaps. SynthSpec's invariants make failures impossible for sane
     # plans; this guards degenerate ones loudly.
     cfg = SegmentationConfig(spec.gap_factor)
-    found = {(g.start_t, g.end_t) for g in detect_gaps(stream, cfg)}
+    seg = segment(stream, cfg)
+    found = {(s.start_t, s.end_t) for s in seg.strokes if s.cls is StrokeClass.IN_AIR_LONG}
     planned = {(start, end) for cls, start, end in gt if cls is StrokeClass.IN_AIR_LONG}
     if found == planned:
         return
     # the earliest interval on the wrong side of the threshold
     start, end = min(found ^ planned)
-    threshold = cfg.gap_threshold(nominal_period(stream))
+    threshold = cfg.gap_threshold(seg.nominal_period)
     if (start, end) in planned:
         raise SynthSpecError(
             f"seed {spec.seed}: planned gap {end - start} does not clear "
@@ -403,7 +404,8 @@ def load_corpus_spec(text: str) -> CorpusSpec:
         gaps = 1..4
         gap_ticks = 60..140
 
-    Another key or section, ``[DEFAULT]`` too, is a SynthSpecError.
+    Another key or section, ``[DEFAULT]`` too, or a second section naming
+    one cohort, is a SynthSpecError.
     """
     # a % in a label is plain text; no header can name "", so [DEFAULT] is an ordinary section
     parser = ConfigParser(interpolation=None, default_section="")
@@ -423,6 +425,9 @@ def load_corpus_spec(text: str) -> CorpusSpec:
         name = section[len("cohort "):].strip()
         if not name:
             raise SynthSpecError("cohort section needs a name")
+        if name in cohorts:  # [cohort a] and [cohort  a] both name cohort a
+            raise SynthSpecError(f"[{section}] names cohort {name!r}, "
+                                 "which an earlier section already named")
         plan = _read_section(parser, section, _COHORT_KEYS, _COHORT_KEYS)
         cohorts[name] = CohortSpec(plan.pop("files"), PlanDistribution(**plan))
     return CorpusSpec(nominal_period=corpus.pop("period"), cohorts=cohorts, **corpus)

@@ -462,6 +462,71 @@ def test_manifest_commands_same_bytes_for_any_worker_count(tmp_path, capsys, mon
         assert captured.out and captured.err.count("WARN ") == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse", "{recording}"],
+    ["segment", "{recording}"],
+    ["features", "{manifest}"],
+    ["aggregate", "{manifest}"],
+    ["compare", "{manifest}", "--cohort-a", "control", "--cohort-b", "patient"],
+    ["compare", "{manifest}", "--cohort-a", "control", "--cohort-b", "patient", "--format", "md"],
+    ["render", "{recording}"],
+])
+def test_out_file_holds_the_bytes_stdout_would(tmp_path, capsys, argv):
+    manifest = corpus_with_warnings(tmp_path)
+    recording = manifest.parent / "control_001.svc"  # one of the files that warn
+    capsys.readouterr()
+    warns = 3 if "{manifest}" in argv else 1
+    argv = [arg.format(manifest=manifest, recording=recording) for arg in argv]
+    assert main(argv) == 0
+    to_stdout = capsys.readouterr()
+    target = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(target)]) == 0
+    to_file = capsys.readouterr()
+    assert to_stdout.out
+    assert target.read_bytes() == to_stdout.out.encode("utf-8")
+    assert to_file.out == ""
+    assert to_file.err == to_stdout.err
+    assert to_file.err.count("WARN ") == warns
+
+
+def test_synth_prints_only_the_manifest_path(tmp_path, capsys):
+    spec = tmp_path / "corpus.ini"
+    spec.write_text(CORPUS_INI, encoding="utf-8")
+    out = tmp_path / "corpus"
+    assert main(["synth", "--spec", str(spec), "--seed", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"{out / 'manifest.csv'}\n", "")
+    assert (out / "manifest.csv").is_file()
+    assert len(list(out.glob("*.svc"))) == 8
+
+
+@pytest.mark.parametrize("command", ["parse", "features", "render"])
+def test_out_in_a_missing_directory_exits_two(tmp_path, capsys, command):
+    manifest = make_corpus(tmp_path)
+    capsys.readouterr()
+    source = manifest if command == "features" else manifest.parent / "control_000.svc"
+    target = tmp_path / "no" / "such" / "dir" / "out.txt"
+    assert main([command, str(source), "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert str(target) in captured.err
+    assert not target.parent.exists()
+
+
+def test_synth_refuses_two_sections_naming_one_cohort(tmp_path, capsys):
+    # the section name is stripped: [cohort  patient] names cohort patient again
+    second = CORPUS_INI[CORPUS_INI.index("[cohort patient]"):]
+    spec = tmp_path / "corpus.ini"
+    spec.write_text(CORPUS_INI + "\n" + second.replace("[cohort patient]", "[cohort  patient]")
+                    .replace("files = 4", "files = 1"), encoding="utf-8")
+    out = tmp_path / "corpus"
+    assert main(["synth", "--spec", str(spec), "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: [cohort  patient] names cohort 'patient', "
+                                       "which an earlier section already named\n")
+    assert not out.exists()
+
+
 def run_cli_in_fresh_interpreter(prelude, argv):
     # a forked child that got back into the CLI would write to the real
     # stdout, which only a separate process shows

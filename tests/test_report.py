@@ -2,6 +2,7 @@ from fractions import Fraction
 from xml.etree import ElementTree as ET
 
 import pytest
+from hypothesis import given, strategies as st
 
 from penair import (
     CohortSummary,
@@ -18,7 +19,7 @@ from penair import (
     render_trajectories,
     segment,
 )
-from penair.report import format_table
+from penair.report import _decimal, format_table
 
 
 def summary(t_s, t_as, t_al, s_s="6.62", s_as="5.94", s_al="0.32",
@@ -51,6 +52,21 @@ def test_time_cell_rounding():
     assert "715.4 (19.9%)" in row
     assert "17.5 (0.5%)" in row
     assert row.endswith("6.62,5.94,0.32")
+
+
+def test_cells_round_exact_ties_half_to_even():
+    # through float, 23/20 printed 1.1, 49/20 2.5, 3/20 0.1 and 1/40 0.03
+    text = render_time_table([summary("1.15", "2.45", "0.15", s_s="0.025")])
+    assert text.splitlines()[1] == (
+        "db,control,sig,1.2 (30.7%),2.4 (65.3%),0.2 (4.0%),0.02,5.94,0.32")
+    assert _decimal(Fraction(1, 20), 1) == "0.0"
+    assert _decimal(Fraction(3, 40), 2) == "0.08"
+    assert render_p_table([result(Fraction(1, 20000))]).splitlines()[1] == "sig,0.0000*,,,,,"
+
+
+@given(st.floats(min_value=0, max_value=1e12, allow_nan=False), st.sampled_from([1, 2, 4]))
+def test_decimal_rounds_a_float_as_format_does(x, places):
+    assert _decimal(x, places) == f"{x:.{places}f}"
 
 
 def test_time_cell_zero_component():

@@ -371,6 +371,17 @@ def test_spec_refusals_name_their_section(old, new, message):
         load_corpus_spec(SPEC_INI.replace(old, new))
 
 
+def test_two_sections_may_not_name_one_cohort():
+    # the section name is stripped, so [cohort  c] names cohort c again; the
+    # later section must not silently replace the earlier one
+    second = SPEC_INI[SPEC_INI.index("[cohort c]"):].replace("[cohort c]", "[cohort  c]")
+    text = SPEC_INI + "\n" + second.replace("files = 2", "files = 1")
+    with pytest.raises(SynthSpecError,
+                       match=r"^\[cohort  c\] names cohort 'c', which an earlier section "
+                             r"already named$"):
+        load_corpus_spec(text)
+
+
 def test_cohort_name_keeps_its_file_names_within_255_bytes():
     dist = small_corpus_spec().cohorts["control"].plan
     # "{name}_{n_files - 1:03d}.svc": 8 bytes after the name up to 1000 files
