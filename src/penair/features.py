@@ -138,8 +138,9 @@ def aggregate_cohort(vectors: Iterable[FeatureVector]) -> CohortSummary:
 
     Anomalous files are excluded from every mean but counted in ``n_files``
     and ``n_anomalous``. Raises EmptyCohortError when no files are given or
-    none survive the exclusion (naming the group's labels, if any), and
-    ValueError when sources carry mixed (database, task, cohort) labels.
+    none survive the exclusion, DegenerateDataError when the kept files' total
+    time is zero (each naming the group's labels, if any), and ValueError when
+    sources carry mixed (database, task, cohort) labels.
     """
     vecs = list(vectors)
     if not vecs:
@@ -154,9 +155,9 @@ def aggregate_cohort(vectors: Iterable[FeatureVector]) -> CohortSummary:
     if labels and any(v.source is None for v in vecs):
         raise ValueError("cannot mix labeled and unlabeled feature vectors")
     database, task, cohort = next(iter(labels), ("", "", ""))
+    group = f"database {database!r}, cohort {cohort!r}, task {task!r}: " if labels else ""
     kept = [v for v in vecs if not v.anomalous]
     if not kept:
-        group = f"database {database!r}, cohort {cohort!r}, task {task!r}: " if labels else ""
         raise EmptyCohortError(f"{group}all {len(vecs)} files excluded as anomalous")
     n = len(kept)
 
@@ -166,7 +167,10 @@ def aggregate_cohort(vectors: Iterable[FeatureVector]) -> CohortSummary:
     mean_t_s = mean("time_on_surface")
     mean_t_as = mean("time_in_air_short")
     mean_t_al = mean("time_in_air_long")
-    pct_s, pct_as, pct_al = relative_times(mean_t_s, mean_t_as, mean_t_al)
+    try:
+        pct_s, pct_as, pct_al = relative_times(mean_t_s, mean_t_as, mean_t_al)
+    except DegenerateDataError as exc:
+        raise DegenerateDataError(f"{group}{exc}") from None
     return CohortSummary(
         database=database,
         task=task,

@@ -44,7 +44,6 @@ import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from operator import lt
 from pathlib import Path
@@ -105,6 +104,9 @@ class SampleStream:
     is 1 on the surface and 0 in the air. ``samples`` views the same data as
     rows. :meth:`from_columns` is the constructor; it holds the columns to the
     parser's rules and raises ValueError naming the first sample that breaks one.
+    A stream holds at least one sample; a column its source lacks (the
+    auxiliary columns of a four-column file, or one omitted from
+    from_columns) holds zeros.
     """
 
     x: tuple[int, ...]
@@ -120,20 +122,28 @@ class SampleStream:
     @classmethod
     def from_columns(cls, x, y, t, status, azimuth=None, altitude=None, pressure=None,
                      *, source_id: str = "<stream>") -> "SampleStream":
-        """Build a stream from integer columns of equal length; omitted
-        auxiliary columns are zero-filled."""
-        columns = _checked_columns(source_id, x, y, t, status, azimuth, altitude, pressure)
-        return cls._from_valid_columns(columns, source_id, ())
+        """Build a stream from integer columns of equal length; an omitted
+        auxiliary column is zero-filled, an empty one is refused."""
+        columns = (x, y, t, status, azimuth, altitude, pressure)
+        stream = cls._finish([None if c is None else tuple(c) for c in columns], source_id, ())
+        _check_rules(stream)
+        return stream
 
     @classmethod
-    def _from_valid_columns(cls, columns, source_id, warnings) -> "SampleStream":
+    def _finish(cls, columns, source_id, warnings) -> "SampleStream":
+        # the step every build ends in: the columns in COLUMNS order, None for
+        # one the recording lacks, which is zero-filled; an empty t is refused
+        if not columns[2]:
+            raise EmptyInputError(f"{source_id}: no samples")
+        zeros = (0,) * len(columns[2])
         stream = object.__new__(cls)
         for name, value in zip(COLUMNS + ("source_id", "warnings"),
-                               columns + (source_id, tuple(warnings))):
+                               [zeros if c is None else c for c in columns]
+                               + [source_id, tuple(warnings)]):
             object.__setattr__(stream, name, value)
         return stream
 
-    @cached_property
+    @property
     def samples(self) -> SampleView:
         return SampleView(tuple(getattr(self, name) for name in COLUMNS))
 
@@ -146,20 +156,15 @@ class SampleStream:
         return self.t[-1]
 
 
-def _checked_columns(source_id: str, *columns) -> tuple[tuple[int, ...], ...]:
+def _check_rules(stream: SampleStream) -> None:
     # the checks of a hand-built stream: its shape, then the parser's rules
-    t = tuple(columns[2])
-    if not t:
-        raise EmptyInputError(f"{source_id}: no samples")
-    zeros = (0,) * len(t)
-    columns = tuple(zeros if c is None else tuple(c) for c in columns)
-    if any(len(c) != len(t) for c in columns):
-        raise ValueError(f"{source_id}: columns differ in length")
-    if not _follows_rules(t, columns[3], columns[6]):
-        for i, row in enumerate(zip((None,) + t, t, columns[3], columns[6])):
+    t, status, pressure = stream.t, stream.status, stream.pressure
+    if any(len(getattr(stream, name)) != len(t) for name in COLUMNS):
+        raise ValueError(f"{stream.source_id}: columns differ in length")
+    if not _follows_rules(t, status, pressure):
+        for i, row in enumerate(zip((None,) + t, t, status, pressure)):
             if fault := _row_fault(*row):
-                raise ValueError(f"{source_id}: sample {i}: {fault[1]}")
-    return columns
+                raise ValueError(f"{stream.source_id}: sample {i}: {fault[1]}")
 
 
 def _follows_rules(t, status, pressure, last_t=None) -> bool:
@@ -326,29 +331,23 @@ def parse_session(
     and recorded in ``stream.warnings``. Blank lines are skipped. Raises
     ParseError for a malformed row or a column count that changes mid-file,
     TimestampOrderError when timestamps decrease, and EmptyInputError when no
-    sample rows remain. Four-column files get zero-filled auxiliary columns;
-    with ``derive_status_from_pressure`` they are a ParseError naming
-    ``source_id``.
+    sample rows remain. A four-column file's auxiliary columns hold zeros, as
+    in a stream built without them; with ``derive_status_from_pressure`` such
+    a file is a ParseError naming ``source_id``.
     """
     opts = options or ParseOptions()
     builder = _ColumnBuilder()
     builder.feed(text)
-    columns = []
-    for column in builder.columns:  # one column's list and tuple alive at a time
-        columns.append(tuple(column))
-        column.clear()
-    n = len(columns[2])
-    if not n:
-        raise EmptyInputError(f"{source_id}: no samples")
     if opts.derive_status_from_pressure and builder.width == 4:
         raise ParseError(f"{source_id}: deriving status needs the pressure column; "
                          "the file has 4 columns")
-    zeros = (0,) * n
-    columns = [column or zeros for column in columns]
-    if opts.derive_status_from_pressure:
+    columns = []
+    for column in builder.columns:  # one column's list and tuple alive at a time
+        columns.append(tuple(column) or None)
+        column.clear()
+    if opts.derive_status_from_pressure and columns[6]:  # an empty file has none
         columns[3] = tuple([1 if p > 0 else 0 for p in columns[6]])
-    return SampleStream._from_valid_columns(tuple(columns), source_id,
-                                            tuple(builder.warnings))
+    return SampleStream._finish(columns, source_id, builder.warnings)
 
 
 def read_text(path: Path, error: type[Exception], newline: str | None = None) -> str:

@@ -90,12 +90,18 @@ def _p_cell(result: RankTestResult) -> str:
     return text + "*" if result.significant else text
 
 
+def _md_cell(text: str) -> str:
+    # a label may hold "|", "\\" or a line break; none may end the cell or the row
+    text = text.replace("\\", "\\\\").replace("|", "\\|")
+    return text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
+
+
 def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     lines = [
-        "| " + " | ".join(header) + " |",
+        "| " + " | ".join(map(_md_cell, header)) + " |",
         "| " + " | ".join("---" for _ in header) + " |",
     ]
-    lines += ["| " + " | ".join(row) + " |" for row in rows]
+    lines += ["| " + " | ".join(map(_md_cell, row)) + " |" for row in rows]
     return "\n".join(lines) + "\n"
 
 

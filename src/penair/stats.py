@@ -194,14 +194,13 @@ def compare_cohorts(
     given task, unlabeled vectors are taken as already filtered. Uses the
     exact p while the pooled size stays within ``exact_limit``, the normal
     approximation beyond it. Raises EmptyCohortError when either side ends up
-    empty.
+    empty, naming its cohort when its vectors are labeled and saying whether
+    it has no file for the task or only anomalous ones.
     """
     xs = _extract(features_a, task, feature)
     ys = _extract(features_b, task, feature)
     if not xs or not ys:
-        raise EmptyCohortError(
-            f"task {task!r}: a cohort is empty after anomaly exclusion"
-        )
+        raise EmptyCohortError(_empty_side(features_b if xs else features_a, task))
     u = mann_whitney_u(xs, ys)
     if len(xs) + len(ys) <= exact_limit:
         p: Fraction | float = exact_p(xs, ys, exact_limit)
@@ -228,3 +227,14 @@ def _extract(vectors: Sequence[FeatureVector], task: str, feature: Feature) -> l
             continue
         out.append(v.value(feature))
     return out
+
+
+def _empty_side(vectors: Sequence[FeatureVector], task: str) -> str:
+    # why a side has no values for task: no file for it, or only anomalous ones
+    files = [v for v in vectors if v.source is None or v.source.task == task]
+    cohorts = {v.source.cohort for v in vectors if v.source is not None}
+    side = f"cohort {cohorts.pop()!r}" if len(cohorts) == 1 else "a cohort"
+    if not files:
+        return f"task {task!r}: {side} has no file for it"
+    return (f"task {task!r}: {side} is empty after anomaly exclusion: "
+            f"all {len(files)} of its files are anomalous")

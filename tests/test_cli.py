@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from penair import cli
 from penair.cli import main
+from penair.ingest import MANIFEST_HEADER, csv_text
 
 CORPUS_INI = """
 [corpus]
@@ -170,6 +172,26 @@ def test_markdown_format(tmp_path, capsys):
     assert out.startswith("| class | start_t |")
 
 
+@pytest.mark.parametrize("command, columns, database", [("features", 12, 1),
+                                                        ("aggregate", 9, 0)])
+def test_markdown_cells_escape_pipes_backslashes_and_line_breaks(tmp_path, capsys, command,
+                                                                 columns, database):
+    write_session(tmp_path, "ok.svc", "0 0 0 1\n1 1 2 1\n2 2 4 0\n3 3 6 0\n")
+    labels = ["d|x", "d\nq", "d\r\nr", "d\rs", "a\\b|"]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(csv_text(MANIFEST_HEADER, (["ok.svc", label, "t", f"s{i}", "a"]
+                                                   for i, label in enumerate(labels))),
+                        encoding="utf-8", newline="")
+    assert main([command, str(manifest), "--format", "md"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 + len(labels)  # header, rule, one line per record
+    for line in lines:
+        # a cell's "\\\\" and "\\|" are escapes; every other "|" separates cells
+        assert re.sub(r"\\.", "", line).count("|") == columns + 1
+    cells = {line[2:-2].split(" | ")[database] for line in lines[2:]}
+    assert cells == {"d\\|x", "d<br>q", "d<br>r", "d<br>s", "a\\\\b\\|"}
+
+
 def test_synth_requires_out(tmp_path, capsys):
     spec = tmp_path / "corpus.ini"
     spec.write_text(CORPUS_INI, encoding="utf-8")
@@ -266,6 +288,19 @@ def test_aggregate_names_group_with_every_file_anomalous(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: database 'db', cohort 'patient', task 'copy': "
                             "all 1 files excluded as anomalous\n")
+
+
+def test_aggregate_zero_total_names_its_group(tmp_path, capsys):
+    # a one-sample recording has no strokes with any duration: every time is zero
+    write_session(tmp_path, "one.svc", "0 0 0 1\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,database,task,subject,cohort\none.svc,d,t,s,a\n",
+                        encoding="utf-8")
+    assert main(["aggregate", str(manifest)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: database 'd', cohort 'a', task 't': "
+                            "total time is zero; percentages undefined\n")
 
 
 def test_aggregate_bad_manifest_exits_two(tmp_path, capsys):
@@ -376,6 +411,30 @@ def test_compare_task_with_empty_side_aborts_run(tmp_path, capsys):
     assert captured.err.startswith(
         f"WARN {tmp_path / 'bad.svc'} anomalous: excluded from comparison "
         "(cohort patient, task spiral)\nerror: ")
+
+
+@pytest.mark.parametrize("b_file, message", [
+    (None, "task 't2': cohort 'b' has no file for it"),
+    ("bad.svc", "task 't2': cohort 'b' is empty after anomaly exclusion: "
+                "all 2 of its files are anomalous"),
+])
+def test_compare_empty_side_names_its_cohort_and_cause(tmp_path, capsys, b_file, message):
+    # cohort a has tasks t1 and t2; cohort b has t1, and t2 only if b_file is given
+    write_session(tmp_path, "ok.svc",
+                  "0 0 0 1\n1 1 2 1\n2 2 4 1\n3 3 6 0\n4 4 8 0\n5 5 10 1\n")
+    write_session(tmp_path, "bad.svc",
+                  "0 0 0 1\n1 1 2 1\n2 2 4 0\n3 3 6 0\n4 4 200 0\n5 5 202 1\n")
+    rows = ["path,database,task,subject,cohort", "ok.svc,d,t1,s1,a", "ok.svc,d,t2,s1,a",
+            "ok.svc,d,t1,s2,b"]
+    if b_file:
+        rows += [f"{b_file},d,t2,s2,b", f"{b_file},d,t2,s3,b"]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert main(["compare", str(manifest), "--cohort-a", "a", "--cohort-b", "b"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if not line.startswith("WARN ")]
+    assert errors == [f"error: {message}"]
 
 
 def test_compare_names_excluded_files_of_compared_cohorts_only(tmp_path, capsys):

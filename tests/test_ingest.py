@@ -115,6 +115,19 @@ def test_stream_columns_must_be_of_equal_length():
         SampleStream.from_columns([0, 1], [0, 1], [5, 6], [0, 0], pressure=[0])
 
 
+def test_an_empty_column_is_refused_not_zero_filled():
+    with pytest.raises(ValueError, match="^<stream>: columns differ in length$"):
+        SampleStream.from_columns([0, 1], [0, 1], [5, 6], [0, 0], pressure=[])
+
+
+def test_parsed_and_built_streams_refuse_emptiness_alike():
+    with pytest.raises(EmptyInputError) as parsed:
+        parse_session("")
+    with pytest.raises(EmptyInputError) as built:
+        SampleStream.from_columns((), (), (), ())
+    assert str(parsed.value) == str(built.value) == "<stream>: no samples"
+
+
 def test_samples_slice_to_a_tuple_of_rows():
     stream = parse_session("1 2 10 1 0 0 5\n3 4 12 0 0 0 0\n5 6 14 1 0 0 7\n")
     assert stream.samples[1:] == ((3, 4, 12, 0, 0, 0, 0), (5, 6, 14, 1, 0, 0, 7))
