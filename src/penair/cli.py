@@ -327,11 +327,10 @@ def _cmd_compare(args, cfg: RunConfig) -> str:
                              f"(cohort {rec.cohort}, task {rec.task})\n")
     side_a = [v for v in vectors if v.source.cohort == args.cohort_a]
     side_b = [v for v in vectors if v.source.cohort == args.cohort_b]
-    if not side_a or not side_b:
-        raise EmptyCohortError(
-            f"no files for cohort {args.cohort_a!r}" if not side_a
-            else f"no files for cohort {args.cohort_b!r}"
-        )
+    for cohort, side in ((args.cohort_a, side_a), (args.cohort_b, side_b)):
+        if not side:
+            where = "" if args.database is None else f" in database {args.database!r}"
+            raise EmptyCohortError(f"no files for cohort {cohort!r}{where}")
     from .stats import compare_cohorts
 
     tasks = sorted({v.source.task for v in side_a} | {v.source.task for v in side_b})

@@ -168,12 +168,17 @@ def segment(
         if i in gaps:
             strokes.append(Stroke(StrokeClass.IN_AIR_LONG, t[i], t[i + 1], (i + 1, i + 1)))
         run_start = i + 1
-    last = len(t) - 1
-    strokes.append(Stroke(_STATUS_CLASS[status[run_start]], t[run_start], t[last],
-                          (run_start, last + 1)))
+    strokes.append(Stroke(_STATUS_CLASS[status[run_start]], t[run_start], t[-1],
+                          (run_start, len(t))))
+    return SessionSegmentation(tuple(strokes), period,
+                               *class_totals((s.cls, s.start_t, s.end_t) for s in strokes))
+
+
+def class_totals(spans) -> tuple[dict[StrokeClass, int], dict[StrokeClass, int]]:
+    """Per-class total time and count of ``(cls, start_t, end_t)`` spans."""
     times = {c: 0 for c in StrokeClass}
     counts = {c: 0 for c in StrokeClass}
-    for s in strokes:
-        times[s.cls] += s.duration
-        counts[s.cls] += 1
-    return SessionSegmentation(tuple(strokes), period, times, counts)
+    for cls, start, end in spans:
+        times[cls] += end - start
+        counts[cls] += 1
+    return times, counts

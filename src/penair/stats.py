@@ -26,11 +26,12 @@ from typing import Sequence
 
 from .errors import EmptyCohortError, ExactSizeError
 from .features import Feature, FeatureVector
+from .report import RunConfig
 
 # fixed significance level; exact Fraction so p == 0.05 is never significant
 ALPHA = Fraction(1, 20)
 
-DEFAULT_EXACT_LIMIT = 20
+DEFAULT_EXACT_LIMIT = RunConfig.exact_limit  # the CLI's default, written once
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from pathlib import Path
 from .errors import ManifestError, SynthSpecError
 from .ingest import (MANIFEST_HEADER, SampleStream, csv_text, load_manifest, read_text,
                      serialize_session)
-from .segmentation import SegmentationConfig, StrokeClass, segment
+from .segmentation import SegmentationConfig, StrokeClass, class_totals, segment
 
 
 def file_seed(master_seed: int, label: str) -> int:
@@ -184,12 +184,7 @@ def generate_session(spec: SynthSpec) -> tuple[SampleStream, GroundTruth]:
         gt.append((cls, seg_start, ts[-1] if before_gap else seg_end))
     stream = SampleStream.from_columns(*columns, source_id=f"synth:{spec.seed}")
     _verify_unambiguous(stream, spec, gt)
-    times = {c: 0 for c in StrokeClass}
-    counts = {c: 0 for c in StrokeClass}
-    for cls, start, end in gt:
-        times[cls] += end - start
-        counts[cls] += 1
-    return stream, GroundTruth(tuple(gt), times, counts)
+    return stream, GroundTruth(tuple(gt), *class_totals(gt))
 
 
 def _verify_unambiguous(

@@ -13,7 +13,9 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import penair
 from penair import (
     AnomalyPolicy,
     Feature,
@@ -245,9 +247,11 @@ gap_ticks = 30..80
 
 
 def run_cli(args, hash_seed):
-    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    # -S: the CLI runs on the standard library alone, with no site-packages
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=str(Path(penair.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "penair", *args],
+        [sys.executable, "-S", "-m", "penair", *args],
         capture_output=True, env=env, check=False,
     )
     assert proc.returncode == 0, proc.stderr.decode()

@@ -1,6 +1,8 @@
 import csv
 import gc
+import hashlib
 import io
+import itertools
 import os
 import re
 import subprocess
@@ -508,36 +510,50 @@ def corpus_with_warnings(tmp_path):
 
 def test_manifest_commands_same_bytes_for_any_worker_count(tmp_path, capsys, monkeypatch):
     manifest = corpus_with_warnings(tmp_path)
+    crlf = manifest.with_name("crlf.csv")  # the same records, each line ending in "\r\n"
+    crlf.write_bytes(manifest.read_bytes().replace(b"\n", b"\r\n"))
     capsys.readouterr()
-    for argv in (["features", str(manifest)], ["aggregate", str(manifest)],
-                 ["compare", str(manifest), "--cohort-a", "control", "--cohort-b", "patient"]):
+    for argv in (["features"], ["aggregate"],
+                 ["compare", "--cohort-a", "control", "--cohort-b", "patient"]):
         outputs = set()
-        for workers in (1, 2, 3):
+        for source, workers in itertools.product((manifest, crlf), (1, 2, 3)):
             monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
-            assert main(argv) == 0
+            assert main([*argv, str(source)]) == 0
             outputs.add(capsys.readouterr())
         assert len(outputs) == 1
         (captured,) = outputs
         assert captured.out and captured.err.count("WARN ") == 3
 
 
-@pytest.mark.parametrize("argv", [
-    ["parse", "{recording}"],
-    ["segment", "{recording}"],
-    ["features", "{manifest}"],
-    ["aggregate", "{manifest}"],
-    ["compare", "{manifest}", "--cohort-a", "control", "--cohort-b", "patient"],
-    ["compare", "{manifest}", "--cohort-a", "control", "--cohort-b", "patient", "--format", "md"],
-    ["render", "{recording}"],
-])
-def test_out_file_holds_the_bytes_stdout_would(tmp_path, capsys, argv):
-    manifest = corpus_with_warnings(tmp_path)
+# each command line with the sha256 of its stdout: a golden that changes only
+# with an intended change of output; every compare row is on the exact path
+@pytest.mark.parametrize("argv, sha256", [
+    (["parse", "{recording}"],
+     "4d0c3beee857efe1d9138d52b60c31d01904bc045fa52b7857b25a60af8dcc47"),
+    (["segment", "{recording}"],
+     "2b00d42c52578f00f7274e7432678368050e79965bd32657aadf10736068e250"),
+    (["features", "{manifest}"],
+     "1721ea89a91da12ea7c3c451846b5933866f53dfaf343b5c875c6bf3b894a069"),
+    (["aggregate", "{manifest}"],
+     "39a5e03486e90a3db683d68bdce968b59f4435fb8ec8b5479e3a6655f0a76436"),
+    (["compare", "{manifest}", "--cohort-a", "control", "--cohort-b", "patient"],
+     "76d88d35390e091ec76a2b74b0256b55db94064e88d1190106dbaefe4f31cbe7"),
+    (["compare", "{manifest}", "--cohort-a", "control", "--cohort-b", "patient",
+      "--format", "md"],
+     "88f87d96f872375b09667a6163c03c5e0a033688900ece353ef311be77d0a05c"),
+    (["render", "{recording}"],
+     "38614f09a60ec46183d468f84a18a28d7a440d6466eadde0d046c269efce38ca"),
+], ids=[f"argv{i}" for i in range(7)])
+def test_out_file_holds_the_bytes_stdout_would(tmp_path, capsys, monkeypatch, argv, sha256):
+    monkeypatch.chdir(tmp_path)  # relative paths: the output names no temporary directory
+    manifest = corpus_with_warnings(tmp_path).relative_to(tmp_path)
     recording = manifest.parent / "control_001.svc"  # one of the files that warn
     capsys.readouterr()
     warns = 3 if "{manifest}" in argv else 1
     argv = [arg.format(manifest=manifest, recording=recording) for arg in argv]
     assert main(argv) == 0
     to_stdout = capsys.readouterr()
+    assert hashlib.sha256(to_stdout.out.encode("utf-8")).hexdigest() == sha256, argv
     target = tmp_path / "out.txt"
     assert main([*argv, "--out", str(target)]) == 0
     to_file = capsys.readouterr()
@@ -592,7 +608,8 @@ def run_cli_in_fresh_interpreter(prelude, argv):
     code = (f"import os, sys\nfrom penair import cli\nparent = os.getpid()\n{prelude}\n"
             f"cli._usable_cpus = lambda: 2\nsys.exit(cli.main({argv!r}))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    # -S: no site-packages, so a command that imported one would fail here
+    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
 
 
@@ -631,8 +648,9 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         "synth": (["synth", "--spec", str(tmp_path / "corpus.ini"), "--seed", "1",
                    "--out", str(tmp_path / "again")], synth, {"json"}),
     }
-    # what a bare interpreter loads (site hooks, say) is not penair's doing
-    bare = set(subprocess.run([sys.executable, "-c", "import sys; print(' '.join(sys.modules))"],
+    # what a bare interpreter loads is not penair's doing
+    bare = set(subprocess.run([sys.executable, "-S", "-c",
+                               "import sys; print(' '.join(sys.modules))"],
                               capture_output=True, text=True, check=True, timeout=60).stdout.split())
     for command, (argv, needed, refused) in runs.items():
         loaded = modules_loaded_by(tmp_path, argv)
@@ -705,13 +723,25 @@ def test_single_file_commands_same_bytes_for_any_worker_count(tmp_path, capsys):
     path = long_recording(tmp_path)
     out = tmp_path / "out"
     capsys.readouterr()
+    outputs = {}
     for command in ("parse", "segment", "render"):
         assert main([command, str(path)]) == 0
-        to_stdout = capsys.readouterr()
+        to_stdout = outputs[command] = capsys.readouterr()
         assert main([command, str(path), "--out", str(out)]) == 0
         assert capsys.readouterr() == ("", to_stdout.err)
         assert to_stdout.out and out.read_bytes() == to_stdout.out.encode()
         assert to_stdout.err.count("WARN ") == 5 and len(to_stdout.err.splitlines()) == 5
+    # the JSON scanner refuses a CRLF and a tab-separated copy, so the line
+    # reader reads each, to the same bytes and warnings; a copy without the
+    # repeated rows is all scanned, to the same bytes and no warning
+    text = path.read_text(encoding="utf-8")
+    for copy, warns in ((text.replace("\n", "\r\n"), True), (text.replace(" ", "\t"), True),
+                        ("".join(dict.fromkeys(text.splitlines(keepends=True))), False)):
+        path.write_text(copy, encoding="utf-8", newline="")  # at the same path, as WARN names it
+        for command in ("segment", "render"):
+            assert main([command, str(path)]) == 0
+            want = outputs[command]
+            assert capsys.readouterr() == (want.out, want.err if warns else "")
 
 
 def no_child_left():
@@ -764,7 +794,9 @@ def test_compare_database_filter(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compare", str(manifest), "--cohort-a", "control",
                  "--cohort-b", "patient", "--database", "absent"]) == 3
-    capsys.readouterr()
+    # cohort control has files, but none in database absent
+    assert capsys.readouterr() == ("", "error: no files for cohort 'control' "
+                                       "in database 'absent'\n")
     assert main(["compare", str(manifest), "--cohort-a", "control",
                  "--cohort-b", "patient", "--database", "demo"]) == 0
 

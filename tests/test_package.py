@@ -1,10 +1,12 @@
 """The package's exports: the same names as the modules define, each loaded
-on first use, so ``import penair`` loads none of penair's modules."""
+on first use, so ``import penair`` loads none of penair's modules. And its
+sources: every file compiles with warnings as errors."""
 
 import importlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -73,6 +75,18 @@ def test_bare_import_loads_no_penair_module():
     code = ("import sys, penair\n"
             "print(' '.join(m for m in sys.modules if m.startswith('penair')))")
     env = {**os.environ, "PYTHONPATH": str(Path(penair.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=env, check=True, timeout=60)
     assert done.stdout.split() == ["penair"]
+
+
+def test_every_source_file_compiles_with_warnings_as_errors():
+    # a compile-time warning, such as an invalid escape sequence, is an error;
+    # compile() writes no bytecode
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(p for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py"))
+    assert len(paths) > 20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in paths:
+            compile(path.read_bytes(), str(path), "exec")
