@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, metavar="PATH",
                         help="write output here instead of stdout")
     common.add_argument("--derive-status-from-pressure", action="store_true",
-                        help="ignore the status column; on-surface means pressure > 0")
+                        help="replace the status (still 0 or 1) by pressure > 0")
 
     parser = _Parser(prog="penair", description=__doc__.splitlines()[0] if __doc__ else None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -382,6 +382,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = None if args.command == "synth" else _run_config(args)
+        if args.command == "compare" and args.cohort_a == args.cohort_b:
+            raise ValueError(f"--cohort-a and --cohort-b both name cohort {args.cohort_a!r}")
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

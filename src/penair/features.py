@@ -62,10 +62,6 @@ class FeatureVector:
     anomalous: bool
     source: ManifestRecord | None = None
 
-    @property
-    def total_time(self) -> int:
-        return self.time_on_surface + self.time_in_air_short + self.time_in_air_long
-
     def value(self, feature: Feature) -> int:
         return getattr(self, _FEATURE_ATTR[feature])
 
@@ -101,7 +97,7 @@ def relative_times(t_surface, t_air_short, t_air_long):
     if total == 0:
         raise DegenerateDataError("total time is zero; percentages undefined")
     # int / int would fall to float division; keep exact inputs exact
-    hundred = 100.0 if isinstance(total, float) else Fraction(100)
+    hundred = Fraction(100)
     return (
         hundred * t_surface / total,
         hundred * t_air_short / total,

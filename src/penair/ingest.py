@@ -190,10 +190,11 @@ def _row_fault(last_t, t, status, pressure):
 class ParseOptions:
     """Knobs for :func:`parse_session`.
 
-    derive_status_from_pressure: ignore the status column and mark a sample
-    on-surface exactly when its pressure is positive. Useful for recordings
-    whose status column is unreliable. A four-column file has no pressure to
-    derive from, so parsing it with this option raises ParseError.
+    derive_status_from_pressure: replace the status column, which must still
+    hold 0 or 1, by marking a sample on-surface exactly when its pressure is
+    positive. Useful for recordings whose status column is unreliable. A
+    four-column file has no pressure to derive from, so parsing it with this
+    option raises ParseError.
     """
 
     derive_status_from_pressure: bool = False

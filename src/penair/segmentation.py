@@ -106,10 +106,6 @@ class SessionSegmentation:
     class_times: dict[StrokeClass, int]
     class_counts: dict[StrokeClass, int]
 
-    @property
-    def total_time(self) -> int:
-        return sum(self.class_times.values())
-
 
 def _period_and_gaps(stream: SampleStream, cfg: SegmentationConfig) -> tuple[int, list[int]]:
     """The modal inter-sample interval, ties resolving to the smaller value,

@@ -167,8 +167,9 @@ def test_anomaly_threshold_boundary():
         spec = SynthSpec(2, 0, ((S, lead), (L, gap), (S, tail)), seed=1)
         stream, _ = generate_session(spec)
         fv = feature_vector(segment(stream), AnomalyPolicy())
-        assert fv.total_time == 10000
-        assert Fraction(fv.time_in_air_long, fv.total_time) == share
+        total = fv.time_on_surface + fv.time_in_air_short + fv.time_in_air_long
+        assert total == 10000
+        assert Fraction(fv.time_in_air_long, total) == share
         assert fv.anomalous is expected, (share, fv)
 
 

@@ -47,6 +47,14 @@ def write_session(tmp_path, name="rec.svc", text="0 0 0 1\n1 1 2 1\n2 2 4 0\n3 3
     return path
 
 
+def manifest_text(*rows):
+    return "path,database,task,subject,cohort\n" + "".join(f"{row}\n" for row in rows)
+
+
+OK_TEXT = "0 0 0 1\n1 1 2 1\n2 2 4 1\n3 3 6 0\n4 4 8 0\n5 5 10 1\n"
+BAD_TEXT = "0 0 0 1\n1 1 2 1\n2 2 4 0\n3 3 6 0\n4 4 200 0\n5 5 202 1\n"  # a 194-tick gap: anomalous
+
+
 def make_corpus(tmp_path, seed=5):
     spec = tmp_path / "corpus.ini"
     spec.write_text(CORPUS_INI, encoding="utf-8")
@@ -153,8 +161,7 @@ def test_derive_status_refuses_four_column_file(tmp_path, capsys):
     assert main(["segment", str(path), "--derive-status-from-pressure"]) == 2
     assert capsys.readouterr() == ("", message)
     manifest = tmp_path / "manifest.csv"
-    manifest.write_text("path,database,task,subject,cohort\n"
-                        "rec.svc,db,copy,s0,control\n", encoding="utf-8")
+    manifest.write_text(manifest_text("rec.svc,db,copy,s0,control"), encoding="utf-8")
     assert main(["features", str(manifest), "--derive-status-from-pressure"]) == 2
     assert capsys.readouterr() == ("", message)
 
@@ -275,36 +282,6 @@ def test_aggregate_empty_manifest_exits_three(tmp_path, capsys):
     assert main(["aggregate", str(manifest)]) == 3
 
 
-def test_aggregate_names_group_with_every_file_anomalous(tmp_path, capsys):
-    # one file per cohort; the patient file spends most of its time in a long gap
-    write_session(tmp_path, "ok.svc",
-                  "0 0 0 1\n1 1 2 1\n2 2 4 1\n3 3 6 0\n4 4 8 0\n5 5 10 1\n")
-    write_session(tmp_path, "bad.svc",
-                  "0 0 0 1\n1 1 2 1\n2 2 4 0\n3 3 6 0\n4 4 200 0\n5 5 202 1\n")
-    manifest = tmp_path / "manifest.csv"
-    manifest.write_text("path,database,task,subject,cohort\n"
-                        "ok.svc,db,copy,s1,control\nbad.svc,db,copy,s2,patient\n",
-                        encoding="utf-8")
-    assert main(["aggregate", str(manifest)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: database 'db', cohort 'patient', task 'copy': "
-                            "all 1 files excluded as anomalous\n")
-
-
-def test_aggregate_zero_total_names_its_group(tmp_path, capsys):
-    # a one-sample recording has no strokes with any duration: every time is zero
-    write_session(tmp_path, "one.svc", "0 0 0 1\n")
-    manifest = tmp_path / "manifest.csv"
-    manifest.write_text("path,database,task,subject,cohort\none.svc,d,t,s,a\n",
-                        encoding="utf-8")
-    assert main(["aggregate", str(manifest)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: database 'd', cohort 'a', task 't': "
-                            "total time is zero; percentages undefined\n")
-
-
 def test_aggregate_bad_manifest_exits_two(tmp_path, capsys):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("wrong,header,entirely,x,y\n", encoding="utf-8")
@@ -317,7 +294,6 @@ def test_manifest_csv_faults_exit_two_naming_the_line(tmp_path, capsys, monkeypa
     # keeps a NUL for open() to refuse: each is one error line on every Python
     monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
     write_session(tmp_path, "good.svc")
-    header = "path,database,task,subject,cohort\n"
     cases = [
         (f"{'a' * 200_000}.svc,db,copy,s0,control\n",
          "line 2: field larger than field limit (131072)"),
@@ -326,7 +302,7 @@ def test_manifest_csv_faults_exit_two_naming_the_line(tmp_path, capsys, monkeypa
     ]
     manifest = tmp_path / "manifest.csv"
     for rows, message in cases:
-        manifest.write_text(header + rows, encoding="utf-8")
+        manifest.write_text(manifest_text() + rows, encoding="utf-8")
         for argv in (["features", str(manifest)], ["aggregate", str(manifest)],
                      ["compare", str(manifest), "--cohort-a", "control", "--cohort-b", "patient"]):
             assert main(argv) == 2
@@ -387,80 +363,25 @@ def test_compare_unknown_cohort_exits_three(tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
-def test_compare_task_with_empty_side_aborts_run(tmp_path, capsys):
-    # every patient file of task "spiral" is anomalous (a 194-tick gap in the
-    # air); the other tasks are fine
-    write_session(tmp_path, "ok.svc",
-                  "0 0 0 1\n1 1 2 1\n2 2 4 1\n3 3 6 0\n4 4 8 0\n5 5 10 1\n")
-    write_session(tmp_path, "bad.svc",
-                  "0 0 0 1\n1 1 2 1\n2 2 4 0\n3 3 6 0\n4 4 200 0\n5 5 202 1\n")
-    rows = ["path,database,task,subject,cohort"]
-    for task in ("copy", "spiral", "words"):
-        rows.append(f"ok.svc,db,{task},s1,control")
-        rows.append(f"{'bad' if task == 'spiral' else 'ok'}.svc,db,{task},s2,patient")
-    manifest = tmp_path / "manifest.csv"
-    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    assert main(["features", str(manifest)]) == 0
-    flags = [line.split(",")[-1] for line in capsys.readouterr().out.splitlines()[1:]]
-    assert flags == ["false"] * 3 + ["true"] + ["false"] * 2
-    assert main(["compare", str(manifest), "--cohort-a", "control",
-                 "--cohort-b", "patient"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "'spiral'" in captured.err
-    assert "anomaly exclusion" in captured.err
-    # the excluded file is named once, before the error
-    assert captured.err.startswith(
-        f"WARN {tmp_path / 'bad.svc'} anomalous: excluded from comparison "
-        "(cohort patient, task spiral)\nerror: ")
-
-
-@pytest.mark.parametrize("b_file, message", [
-    (None, "task 't2': cohort 'b' has no file for it"),
-    ("bad.svc", "task 't2': cohort 'b' is empty after anomaly exclusion: "
-                "all 2 of its files are anomalous"),
-])
-def test_compare_empty_side_names_its_cohort_and_cause(tmp_path, capsys, b_file, message):
-    # cohort a has tasks t1 and t2; cohort b has t1, and t2 only if b_file is given
-    write_session(tmp_path, "ok.svc",
-                  "0 0 0 1\n1 1 2 1\n2 2 4 1\n3 3 6 0\n4 4 8 0\n5 5 10 1\n")
-    write_session(tmp_path, "bad.svc",
-                  "0 0 0 1\n1 1 2 1\n2 2 4 0\n3 3 6 0\n4 4 200 0\n5 5 202 1\n")
-    rows = ["path,database,task,subject,cohort", "ok.svc,d,t1,s1,a", "ok.svc,d,t2,s1,a",
-            "ok.svc,d,t1,s2,b"]
-    if b_file:
-        rows += [f"{b_file},d,t2,s2,b", f"{b_file},d,t2,s3,b"]
-    manifest = tmp_path / "manifest.csv"
-    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    assert main(["compare", str(manifest), "--cohort-a", "a", "--cohort-b", "b"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    errors = [line for line in captured.err.splitlines() if not line.startswith("WARN ")]
-    assert errors == [f"error: {message}"]
-
-
 def test_compare_names_excluded_files_of_compared_cohorts_only(tmp_path, capsys):
     # anomalous files of the two compared cohorts in --database are named in
     # manifest order; those of another cohort or database are not, and the
     # table is the one the manifest gives without any anomalous file
-    write_session(tmp_path, "ok.svc",
-                  "0 0 0 1\n1 1 2 1\n2 2 4 1\n3 3 6 0\n4 4 8 0\n5 5 10 1\n")
-    bad = write_session(tmp_path, "bad.svc",
-                        "0 0 0 1\n1 1 2 1\n2 2 4 0\n3 3 6 0\n4 4 200 0\n5 5 202 1\n")
-    rows = [("ok", "db1", "spiral", "s1", "control"),
-            ("bad", "db1", "spiral", "s2", "patient"),
-            ("bad", "db1", "spiral", "s3", "other"),
-            ("bad", "db2", "spiral", "s4", "patient"),
-            ("bad", "db1", "copy", "s5", "control"),
-            ("ok", "db1", "copy", "s6", "control"),
-            ("ok", "db1", "copy", "s7", "patient"),
-            ("ok", "db1", "spiral", "s8", "patient")]
+    write_session(tmp_path, "ok.svc", OK_TEXT)
+    bad = write_session(tmp_path, "bad.svc", BAD_TEXT)
+    rows = ["ok.svc,db1,spiral,s1,control",
+            "bad.svc,db1,spiral,s2,patient",
+            "bad.svc,db1,spiral,s3,other",
+            "bad.svc,db2,spiral,s4,patient",
+            "bad.svc,db1,copy,s5,control",
+            "ok.svc,db1,copy,s6,control",
+            "ok.svc,db1,copy,s7,patient",
+            "ok.svc,db1,spiral,s8,patient"]
     argv = ["--cohort-a", "control", "--cohort-b", "patient", "--database", "db1"]
     outs = []
-    for name, kept in (("all.csv", rows), ("clean.csv", [r for r in rows if r[0] == "ok"])):
+    for name, kept in (("all.csv", rows), ("clean.csv", [r for r in rows if r[:3] == "ok."])):
         manifest = tmp_path / name
-        manifest.write_text("path,database,task,subject,cohort\n" + "".join(
-            f"{r[0]}.svc,{','.join(r[1:])}\n" for r in kept), encoding="utf-8")
+        manifest.write_text(manifest_text(*kept), encoding="utf-8")
         assert main(["compare", str(manifest), *argv]) == 0
         outs.append(capsys.readouterr())
     assert outs[0].err == (
@@ -480,11 +401,9 @@ def test_manifest_errors_and_warnings_follow_manifest_order(tmp_path, capsys, mo
     write_session(tmp_path, "good.svc")
     bad = write_session(tmp_path, "bad.svc", "0 0 0 1\n1 1 2 1\n2 2 x 1\n")
     manifest = tmp_path / "manifest.csv"
-    manifest.write_text("path,database,task,subject,cohort\n"
-                        "warn.svc,db,copy,s0,control\n"
-                        "good.svc,db,copy,s1,patient\n"
-                        "bad.svc,db,copy,s2,control\n"
-                        "missing.svc,db,copy,s3,patient\n", encoding="utf-8")
+    manifest.write_text(manifest_text("warn.svc,db,copy,s0,control", "good.svc,db,copy,s1,patient",
+                                      "bad.svc,db,copy,s2,control",
+                                      "missing.svc,db,copy,s3,patient"), encoding="utf-8")
     for argv in (["features", str(manifest)], ["aggregate", str(manifest)],
                  ["compare", str(manifest), "--cohort-a", "control", "--cohort-b", "patient"]):
         assert main(argv) == 2
@@ -525,43 +444,125 @@ def test_manifest_commands_same_bytes_for_any_worker_count(tmp_path, capsys, mon
         assert captured.out and captured.err.count("WARN ") == 3
 
 
-# each command line with the sha256 of its stdout: a golden that changes only
-# with an intended change of output; every compare row is on the exact path
-@pytest.mark.parametrize("argv, sha256", [
-    (["parse", "{recording}"],
-     "4d0c3beee857efe1d9138d52b60c31d01904bc045fa52b7857b25a60af8dcc47"),
-    (["segment", "{recording}"],
-     "2b00d42c52578f00f7274e7432678368050e79965bd32657aadf10736068e250"),
-    (["features", "{manifest}"],
-     "1721ea89a91da12ea7c3c451846b5933866f53dfaf343b5c875c6bf3b894a069"),
-    (["aggregate", "{manifest}"],
-     "39a5e03486e90a3db683d68bdce968b59f4435fb8ec8b5479e3a6655f0a76436"),
-    (["compare", "{manifest}", "--cohort-a", "control", "--cohort-b", "patient"],
-     "76d88d35390e091ec76a2b74b0256b55db94064e88d1190106dbaefe4f31cbe7"),
-    (["compare", "{manifest}", "--cohort-a", "control", "--cohort-b", "patient",
-      "--format", "md"],
-     "88f87d96f872375b09667a6163c03c5e0a033688900ece353ef311be77d0a05c"),
-    (["render", "{recording}"],
-     "38614f09a60ec46183d468f84a18a28d7a440d6466eadde0d046c269efce38ca"),
-], ids=[f"argv{i}" for i in range(7)])
-def test_out_file_holds_the_bytes_stdout_would(tmp_path, capsys, monkeypatch, argv, sha256):
-    monkeypatch.chdir(tmp_path)  # relative paths: the output names no temporary directory
-    manifest = corpus_with_warnings(tmp_path).relative_to(tmp_path)
-    recording = manifest.parent / "control_001.svc"  # one of the files that warn
+NO_T2 = ("ok.svc,d,t1,s1,a", "ok.svc,d,t2,s1,a", "ok.svc,d,t1,s2,b")  # cohort b has no t2
+CONTRACT_FILES = {  # beside the corpus_with_warnings corpus in corpus/
+    "ok.svc": OK_TEXT,
+    "bad.svc": BAD_TEXT,
+    "status5.svc": "0 0 0 5 0 0 1\n",
+    "one.svc": "0 0 0 1\n",  # one sample: no stroke has any duration, so every time is zero
+    # every patient file of task spiral is anomalous; the other tasks are fine
+    "tasks.csv": manifest_text("ok.svc,db,copy,s1,control", "ok.svc,db,copy,s2,patient",
+                               "ok.svc,db,spiral,s1,control", "bad.svc,db,spiral,s2,patient",
+                               "ok.svc,db,words,s1,control", "ok.svc,db,words,s2,patient"),
+    "one.csv": manifest_text("one.svc,d,t,s,a"),
+    "no_t2.csv": manifest_text(*NO_T2),
+    "bad_t2.csv": manifest_text(*NO_T2, "bad.svc,d,t2,s2,b", "bad.svc,d,t2,s3,b"),
+}
+
+
+@pytest.fixture
+def contract_inputs(tmp_path, monkeypatch, capsys):
+    """Writes every input that CONTRACT names, in the working directory: the
+    command lines give relative paths, so no output names a temporary one."""
+    monkeypatch.chdir(tmp_path)
+    corpus_with_warnings(tmp_path)
+    for name, text in CONTRACT_FILES.items():
+        write_session(tmp_path, name, text)
     capsys.readouterr()
-    warns = 3 if "{manifest}" in argv else 1
-    argv = [arg.format(manifest=manifest, recording=recording) for arg in argv]
-    assert main(argv) == 0
+
+
+CORPUS = "corpus/manifest.csv"
+RECORDING = "corpus/control_001.svc"  # one of the files that warn
+# the stderr of a command on RECORDING, and on CORPUS
+WARN_1 = "WARN corpus/control_001.svc:6 duplicate timestamp 7 dropped\n"
+WARN_3 = (WARN_1 + "WARN corpus/patient_000.svc:6 duplicate timestamp 6 dropped\n"
+          "WARN corpus/patient_002.svc:6 duplicate timestamp 6 dropped\n")
+COHORTS = "--cohort-a control --cohort-b patient"
+EXCLUDED = "WARN bad.svc anomalous: excluded from comparison (cohort {}, task {})\n"
+# each command line (its argv joined by spaces), its exit code, the sha256 of
+# its stdout (None for a nonzero exit, which writes none) and its whole stderr:
+# a golden that changes only with an intended change of output. Every compare
+# table here is on the exact path.
+CONTRACT = {
+    "parse": (f"parse {RECORDING}", 0,
+              "4d0c3beee857efe1d9138d52b60c31d01904bc045fa52b7857b25a60af8dcc47", WARN_1),
+    "segment": (f"segment {RECORDING}", 0,
+                "2b00d42c52578f00f7274e7432678368050e79965bd32657aadf10736068e250", WARN_1),
+    "features": (f"features {CORPUS}", 0,
+                 "1721ea89a91da12ea7c3c451846b5933866f53dfaf343b5c875c6bf3b894a069", WARN_3),
+    "aggregate": (f"aggregate {CORPUS}", 0,
+                  "39a5e03486e90a3db683d68bdce968b59f4435fb8ec8b5479e3a6655f0a76436", WARN_3),
+    "compare": (f"compare {CORPUS} {COHORTS}", 0,
+                "76d88d35390e091ec76a2b74b0256b55db94064e88d1190106dbaefe4f31cbe7", WARN_3),
+    "compare_md": (f"compare {CORPUS} {COHORTS} --format md", 0,
+                   "88f87d96f872375b09667a6163c03c5e0a033688900ece353ef311be77d0a05c", WARN_3),
+    "render": (f"render {RECORDING}", 0,
+               "38614f09a60ec46183d468f84a18a28d7a440d6466eadde0d046c269efce38ca", WARN_1),
+    "features_md": (f"features {CORPUS} --format md", 0,
+                    "3b7f19fbabcbd93c8700df161e856b2ced6b697182aaffe6265e12f64f43b611", WARN_3),
+    "aggregate_md": (f"aggregate {CORPUS} --format md", 0,
+                     "1323933cca4c971f750ac09c4b5fe8f6ee49c2f68a6222e93bce7750d6c14bad", WARN_3),
+    # the one anomalous file is the patient file of task spiral
+    "features_tasks": ("features tasks.csv", 0,
+                       "321f71cecc672da3c5b624e3431470bd85a478b47d79f17436dd35c459724265", ""),
+    # flag values that main refuses itself, before it reads a file: none of these exists
+    "gap_factor_1": ("segment absent.svc --gap-factor 1", 1, None,
+                     "error: gap_factor must be > 1, got 1\n"),
+    "min_gap_ticks_0": ("segment absent.svc --min-gap-ticks 0", 1, None,
+                        "error: min_gap_ticks must be >= 1\n"),
+    "anomaly_threshold_2": ("features absent.csv --anomaly-threshold 2", 1, None,
+                            "error: threshold must be in (0, 1], got 2\n"),
+    "exact_limit_1": (f"compare absent.csv {COHORTS} --exact-limit 1", 1, None,
+                      "error: exact limit must be >= 2, got 1\n"),
+    "same_cohort": ("compare absent.csv --cohort-a control --cohort-b control", 1, None,
+                    "error: --cohort-a and --cohort-b both name cohort 'control'\n"),
+    # --derive-status-from-pressure replaces the status column, but checks it first
+    "derive_status_bad_status": ("parse status5.svc --derive-status-from-pressure", 2, None,
+                                 "error: line 1: status must be 0 or 1, got 5\n"),
+    "aggregate_all_anomalous": ("aggregate tasks.csv", 3, None,
+                                "error: database 'db', cohort 'patient', task 'spiral': "
+                                "all 1 files excluded as anomalous\n"),
+    "aggregate_zero_total": ("aggregate one.csv", 3, None, "error: database 'd', cohort 'a', "
+                             "task 't': total time is zero; percentages undefined\n"),
+    # a task left empty on one side aborts the run, though the others compare
+    "compare_anomalous_task": (f"compare tasks.csv {COHORTS}", 3, None,
+                               EXCLUDED.format("patient", "spiral") + "error: task 'spiral': "
+                               "cohort 'patient' is empty after anomaly exclusion: "
+                               "all 1 of its files are anomalous\n"),
+    "compare_no_file_for_task": ("compare no_t2.csv --cohort-a a --cohort-b b", 3, None,
+                                 "error: task 't2': cohort 'b' has no file for it\n"),
+    "compare_all_anomalous_for_task": ("compare bad_t2.csv --cohort-a a --cohort-b b", 3, None,
+                                       EXCLUDED.format("b", "t2") * 2 + "error: task 't2': "
+                                       "cohort 'b' is empty after anomaly exclusion: "
+                                       "all 2 of its files are anomalous\n"),
+}
+
+
+@pytest.mark.parametrize("argv, code, stdout_sha256, stderr", CONTRACT.values(), ids=CONTRACT)
+def test_command_line_contract(contract_inputs, capsys, argv, code, stdout_sha256, stderr):
+    assert main(argv.split()) == code
+    out, err = capsys.readouterr()
+    assert err == stderr
+    if code == 0:
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_sha256
+        return
+    # a refused command line writes nothing: no stdout, and no file at --out
+    assert out == ""
+    assert main([*argv.split(), "--out", "out.txt"]) == code
+    assert capsys.readouterr() == ("", stderr)
+    assert not Path("out.txt").exists()
+
+
+GOLDEN = [argv for argv, code, _, _ in CONTRACT.values() if code == 0]
+
+
+@pytest.mark.parametrize("argv", GOLDEN, ids=[f"argv{i}" for i in range(len(GOLDEN))])
+def test_out_file_holds_the_bytes_stdout_would(contract_inputs, capsys, argv):
+    assert main(argv.split()) == 0
     to_stdout = capsys.readouterr()
-    assert hashlib.sha256(to_stdout.out.encode("utf-8")).hexdigest() == sha256, argv
-    target = tmp_path / "out.txt"
-    assert main([*argv, "--out", str(target)]) == 0
-    to_file = capsys.readouterr()
-    assert to_stdout.out
-    assert target.read_bytes() == to_stdout.out.encode("utf-8")
-    assert to_file.out == ""
-    assert to_file.err == to_stdout.err
-    assert to_file.err.count("WARN ") == warns
+    assert main([*argv.split(), "--out", "out.txt"]) == 0
+    assert capsys.readouterr() == ("", to_stdout.err)
+    assert to_stdout.out and Path("out.txt").read_bytes() == to_stdout.out.encode("utf-8")
 
 
 def test_synth_prints_only_the_manifest_path(tmp_path, capsys):
@@ -852,10 +853,8 @@ def test_undecodable_files_exit_two_naming_file_and_byte(tmp_path, capsys, monke
     write_session(tmp_path, "good.svc")
     write_session(tmp_path, "also_good.svc")
     manifest = tmp_path / "manifest.csv"
-    manifest.write_text("path,database,task,subject,cohort\n"
-                        "good.svc,db,copy,s0,control\n"
-                        "bad.svc,db,copy,s1,patient\n"
-                        "also_good.svc,db,copy,s2,patient\n", encoding="utf-8")
+    manifest.write_text(manifest_text("good.svc,db,copy,s0,control", "bad.svc,db,copy,s1,patient",
+                                      "also_good.svc,db,copy,s2,patient"), encoding="utf-8")
     bad_manifest = tmp_path / "bad_manifest.csv"
     bad_manifest.write_bytes(b"path,database,task,subject,cohort\n"
                              b"good.svc,db,copy,s\xff,control\n")

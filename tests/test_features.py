@@ -67,13 +67,13 @@ def test_feature_vector_from_segmentation():
     assert fv.value(Feature.STROKES_ON_SURFACE) == 1
     assert fv.value(Feature.STROKES_IN_AIR_SHORT) == 2
     assert fv.value(Feature.STROKES_IN_AIR_LONG) == 1
-    assert fv.total_time == 42
+    assert fv.time_on_surface + fv.time_in_air_short + fv.time_in_air_long == 42
     assert fv.anomalous  # 34/42 > 0.7
 
 
 def test_single_sample_session_not_anomalous():
     fv = feature_vector(segment(SampleStream.from_columns([0], [0], [5], [1])))
-    assert fv.total_time == 0
+    assert fv.time_on_surface + fv.time_in_air_short + fv.time_in_air_long == 0
     assert not fv.anomalous
 
 

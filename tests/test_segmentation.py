@@ -136,7 +136,7 @@ def test_single_sample_stream():
     assert seg.strokes[0].duration == 0
     assert seg.strokes[0].n_samples == 1
     assert seg.nominal_period == 0
-    assert seg.total_time == 0
+    assert sum(seg.class_times.values()) == 0
 
 
 def test_long_strokes_own_no_samples():
@@ -168,7 +168,7 @@ def test_strokes_tile_recording():
     for _ in range(300):
         stream = random_stream(rng)
         seg = segment(stream)
-        assert seg.total_time == stream.t_last - stream.t_first
+        assert sum(seg.class_times.values()) == stream.t_last - stream.t_first
         assert seg.strokes[0].start_t == stream.t_first
         assert seg.strokes[-1].end_t == stream.t_last
         for prev, cur in zip(seg.strokes, seg.strokes[1:]):
