@@ -9,7 +9,9 @@ degenerate-data error. Manifest commands read their files in one forked
 process per usable CPU; output and warnings keep manifest order. The
 single-file commands (parse, segment, render) parse their recording in this
 process. A command imports only the modules it runs: synth and the rank tests
-load in their handlers, pickle only when forking.
+load in their handlers, pickle only when forking. No command but synth loads
+dataclasses or typing: the value classes it uses are named tuples and
+penair.frozen classes, which cost nothing to import beyond their definitions.
 """
 
 from __future__ import annotations

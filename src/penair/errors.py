@@ -47,4 +47,6 @@ class EmptyCohortError(PenAirError):
 
 
 class DegenerateDataError(PenAirError):
-    """All-zero totals; the requested ratio is undefined."""
+    """The requested result is undefined for this data: all-zero totals
+    leave a ratio undefined, and coordinates beyond the float range leave a
+    plot undrawable."""

@@ -8,12 +8,12 @@ means, but still counted in ``n_files``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import DegenerateDataError, EmptyCohortError
+from .frozen import Frozen
 from .ingest import ManifestRecord
 from .segmentation import SessionSegmentation, StrokeClass, as_fraction
 
@@ -32,8 +32,7 @@ class Feature(Enum):
 _FEATURE_ATTR = {f: f.name.lower() for f in Feature}
 
 
-@dataclass(frozen=True)
-class AnomalyPolicy:
+class AnomalyPolicy(Frozen):
     """Flag a file anomalous when long in-air time exceeds ``threshold`` of
     the total, strictly. Exactly at the threshold is not anomalous."""
 
@@ -51,8 +50,10 @@ class AnomalyPolicy:
         return t_air_long * self.threshold.denominator > self.threshold.numerator * total
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(Frozen):
+    """The six features of one file, whether it is anomalous, and the
+    manifest record it came from, if any."""
+
     time_on_surface: int
     time_in_air_short: int
     time_in_air_long: int
@@ -105,8 +106,7 @@ def relative_times(t_surface, t_air_short, t_air_long):
     )
 
 
-@dataclass(frozen=True)
-class CohortSummary:
+class CohortSummary(Frozen):
     """Means over the non-anomalous files of one (database, task, cohort).
 
     Percentages are computed from the mean times (ratio of means), not

@@ -42,13 +42,12 @@ import csv
 import io
 import re
 import sys
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import islice
 from operator import lt
 from pathlib import Path
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from .errors import (
     EmptyInputError,
@@ -56,6 +55,7 @@ from .errors import (
     ParseError,
     TimestampOrderError,
 )
+from .frozen import Frozen
 
 MANIFEST_HEADER = ("path", "database", "task", "subject", "cohort")
 
@@ -66,9 +66,10 @@ COLUMNS = ("x", "y", "t", "status", "azimuth", "altitude", "pressure")
 _INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
 
 
-class ParseWarning(NamedTuple):
-    line: int
-    message: str
+class ParseWarning(namedtuple("ParseWarning", "line message")):
+    """A row the parser dropped: its 1-based ``line`` and why."""
+
+    __slots__ = ()
 
 
 class SampleView(Sequence):
@@ -96,8 +97,7 @@ class SampleView(Sequence):
         return zip(*self._columns)
 
 
-@dataclass(frozen=True, init=False)
-class SampleStream:
+class SampleStream(Frozen):
     """An ordered recording with strictly increasing timestamps.
 
     Holds one tuple of ints per column, in :data:`COLUMNS` order; ``status``
@@ -119,6 +119,9 @@ class SampleStream:
     source_id: str
     warnings: tuple[ParseWarning, ...]
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a SampleStream is built by SampleStream.from_columns or the parser")
+
     @classmethod
     def from_columns(cls, x, y, t, status, azimuth=None, altitude=None, pressure=None,
                      *, source_id: str = "<stream>") -> "SampleStream":
@@ -137,10 +140,8 @@ class SampleStream:
             raise EmptyInputError(f"{source_id}: no samples")
         zeros = (0,) * len(columns[2])
         stream = object.__new__(cls)
-        for name, value in zip(COLUMNS + ("source_id", "warnings"),
-                               [zeros if c is None else c for c in columns]
-                               + [source_id, tuple(warnings)]):
-            object.__setattr__(stream, name, value)
+        values = [zeros if c is None else c for c in columns] + [source_id, tuple(warnings)]
+        object.__setattr__(stream, "__dict__", dict(zip(cls._fields, values)))
         return stream
 
     @property
@@ -186,8 +187,7 @@ def _row_fault(last_t, t, status, pressure):
     return None
 
 
-@dataclass(frozen=True)
-class ParseOptions:
+class ParseOptions(Frozen):
     """Knobs for :func:`parse_session`.
 
     derive_status_from_pressure: replace the status column, which must still
@@ -378,8 +378,7 @@ def serialize_session(stream: SampleStream) -> str:
     return "\n".join(map("{} {} {} {} {} {} {}".format, *columns)) + "\n"
 
 
-@dataclass(frozen=True, slots=True)
-class ManifestRecord:
+class ManifestRecord(Frozen):
     """One corpus file with its labels."""
 
     path: Path

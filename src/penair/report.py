@@ -7,14 +7,17 @@ byte-identical to the ElementTree serialisation of earlier releases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
 
+from .errors import DegenerateDataError
 from .features import AnomalyPolicy, CohortSummary, Feature
+from .frozen import Frozen
 from .ingest import SampleStream, csv_text
 from .segmentation import SegmentationConfig, SessionSegmentation, StrokeClass
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing
 if TYPE_CHECKING:  # annotations only: a table renderer does not load the rank tests
     from .stats import RankTestResult
 
@@ -24,8 +27,7 @@ class TableFormat:
     MARKDOWN = "md"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     """Run-wide knobs shared by the CLI commands.
 
     The significance level is fixed; it is not a knob.
@@ -154,23 +156,38 @@ _STRIP_H = 80
 _PANEL_COLORS = {StrokeClass.ON_SURFACE: "#1f6feb", StrokeClass.IN_AIR_SHORT: "#d4a017"}
 
 
+def _view_axis(values, axis: str, source_id: str) -> tuple[float, float, float]:
+    """Origin, size and pad of one axis of the panels' view box: the data
+    bounds with a 5% margin, a unit pad for a degenerate extent. Raises
+    DegenerateDataError, naming the axis, where a bound or the extent is
+    beyond the float range that the view box is written in."""
+    lo, hi = min(values), max(values)
+    try:
+        pad = (hi - lo) * 0.05 or 1.0
+        origin, size = lo - pad, hi - lo + 2 * pad
+    except OverflowError:  # an int that no float holds
+        origin = size = math.inf
+    if not (math.isfinite(origin) and math.isfinite(size)):
+        raise DegenerateDataError(f"{source_id}: {axis} coordinates exceed the float range; "
+                                  "the trajectories cannot be drawn")
+    return origin, size, pad
+
+
 def render_trajectories(stream: SampleStream, seg: SessionSegmentation) -> str:
     """Fixed two-panel figure: on-surface trajectories on top, short in-air
     trajectories below, and a timeline strip marking each long in-air stroke
-    with a labeled tick. Returns a well-formed SVG document string."""
+    with a labeled tick. Returns a well-formed SVG document string. Raises
+    DegenerateDataError for coordinates beyond the float range."""
+    xs, ys = stream.x, stream.y
+    x0, width, _ = _view_axis(xs, "x", stream.source_id)
+    y0, height, pad_y = _view_axis(ys, "y", stream.source_id)
     # written as text: every attribute value and text node below is a number
     # or a fixed ASCII word, so nothing needs XML escaping
     total_h = 2 * _PANEL_H + _STRIP_H
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{total_h}" '
              f'viewBox="0 0 {_SVG_W} {total_h}">']
-    xs, ys = stream.x, stream.y
-    min_x, max_x = min(xs), max(xs)
-    min_y, max_y = min(ys), max(ys)
-    # 5% margin around the data bounds; degenerate extents get a unit pad
-    pad_x = (max_x - min_x) * 0.05 or 1.0
-    pad_y = (max_y - min_y) * 0.05 or 1.0
-    left_x, top_y = f"{min_x - pad_x:g}", f"{min_y - pad_y:g}"
-    view_box = f"{left_x} {top_y} {max_x - min_x + 2 * pad_x:g} {max_y - min_y + 2 * pad_y:g}"
+    left_x, top_y = f"{x0:g}", f"{y0:g}"
+    view_box = f"{left_x} {top_y} {width:g} {height:g}"
     for cls, y_offset, label in ((StrokeClass.ON_SURFACE, 0, "on-surface"),
                                  (StrokeClass.IN_AIR_SHORT, _PANEL_H, "in-air short")):
         parts.append(f'<svg x="0" y="{y_offset}" width="{_SVG_W}" height="{_PANEL_H}" '

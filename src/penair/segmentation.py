@@ -11,16 +11,15 @@ intervals form strokes, which tile [t_first, t_last] exactly.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from enum import Enum
 from fractions import Fraction
 from itertools import compress, count, islice
 from math import floor
 from operator import ne, sub
-from typing import NamedTuple
 
 from .errors import InsufficientDataError
+from .frozen import Frozen
 from .ingest import SampleStream
 
 
@@ -43,16 +42,13 @@ class StrokeClass(Enum):
 _STATUS_CLASS = (StrokeClass.IN_AIR_SHORT, StrokeClass.ON_SURFACE)
 
 
-class Gap(NamedTuple):
+class Gap(namedtuple("Gap", "index start_t end_t")):
     """Oversized interval between samples ``index`` and ``index + 1``."""
 
-    index: int
-    start_t: int
-    end_t: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SegmentationConfig:
+class SegmentationConfig(Frozen):
     """Gap detection knobs.
 
     An interval is a gap when it strictly exceeds ``gap_factor`` times the
@@ -77,16 +73,13 @@ class SegmentationConfig:
         return threshold if self.min_gap_ticks is None else max(threshold, self.min_gap_ticks)
 
 
-@dataclass(frozen=True)
-class Stroke:
-    """A maximal same-class span. ``sample_range`` is a half-open index
+class Stroke(namedtuple("Stroke", "cls start_t end_t sample_range")):
+    """A maximal same-class span: its StrokeClass ``cls`` over ticks
+    ``start_t`` to ``end_t``. ``sample_range`` is a half-open index
     interval into the source stream; empty for IN_AIR_LONG strokes, which own
     no samples."""
 
-    cls: StrokeClass
-    start_t: int
-    end_t: int
-    sample_range: tuple[int, int]
+    __slots__ = ()
 
     @property
     def duration(self) -> int:
@@ -97,8 +90,7 @@ class Stroke:
         return self.sample_range[1] - self.sample_range[0]
 
 
-@dataclass(frozen=True)
-class SessionSegmentation:
+class SessionSegmentation(Frozen):
     """Ordered strokes plus per-class totals; strokes tile the recording."""
 
     strokes: tuple[Stroke, ...]

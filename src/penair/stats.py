@@ -18,11 +18,11 @@ U_A is exact. Two routes to a two-sided p-value:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import groupby
 from math import comb
-from typing import Sequence
 
 from .errors import EmptyCohortError, ExactSizeError
 from .features import Feature, FeatureVector
@@ -34,29 +34,22 @@ ALPHA = Fraction(1, 20)
 DEFAULT_EXACT_LIMIT = RunConfig.exact_limit  # the CLI's default, written once
 
 
-@dataclass(frozen=True)
-class UStat:
-    """U statistics for both groups plus the pooled tie structure.
+class UStat(namedtuple("UStat", "u_a u_b n_a n_b tie_profile")):
+    """U statistics for both groups (floats) and the group sizes, plus the
+    pooled tie structure.
 
     ``tie_profile`` holds the size of every tie group in the pooled sample,
     in ascending value order; untied values contribute groups of size 1.
     """
 
-    u_a: float
-    u_b: float
-    n_a: int
-    n_b: int
-    tie_profile: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RankTestResult:
-    task: str
-    feature: Feature
-    u: UStat
-    p: Fraction | float
-    method: str  # "exact" or "approx"
-    significant: bool
+class RankTestResult(namedtuple("RankTestResult", "task feature u p method significant")):
+    """One task's test of one Feature: its UStat ``u``, ``p`` (a Fraction
+    when ``method`` is "exact", a float when "approx") and whether p < ALPHA."""
+
+    __slots__ = ()
 
 
 def _doubled_ranks(values: Sequence) -> tuple[list[int], tuple[int, ...]]:

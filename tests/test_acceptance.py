@@ -256,6 +256,9 @@ def run_cli(args, hash_seed):
         capture_output=True, env=env, check=False,
     )
     assert proc.returncode == 0, proc.stderr.decode()
+    # under PYTHONDEVMODE and PYTHONWARNINGS=error::ResourceWarning a file the
+    # child left open is reported here, and only here where it reads files itself
+    assert b"ResourceWarning" not in proc.stderr, proc.stderr.decode()
     return proc.stdout
 
 

@@ -103,23 +103,6 @@ def test_parse_reports_summary(tmp_path, capsys):
     assert cells[1:5] == ["4", "0", "6", "6"]
 
 
-def test_parse_malformed_file_exits_two(tmp_path, capsys):
-    path = write_session(tmp_path, text="0 0 zero 1\n")
-    assert main(["parse", str(path)]) == 2
-    assert "line 1" in capsys.readouterr().err
-
-
-def test_parse_missing_file_exits_two(tmp_path, capsys):
-    assert main(["parse", str(tmp_path / "absent.svc")]) == 2
-
-
-def test_duplicate_timestamp_warning_format(tmp_path, capsys):
-    path = write_session(tmp_path, text="0 0 0 1\n1 1 2 1\n2 2 2 1\n3 3 4 1\n")
-    assert main(["parse", str(path)]) == 0
-    err = capsys.readouterr().err
-    assert err == f"WARN {path}:3 duplicate timestamp 2 dropped\n"
-
-
 def test_segment_lists_strokes(tmp_path, capsys):
     path = write_session(tmp_path, text="0 0 0 1\n1 1 2 1\n2 2 4 1\n3 3 40 1\n4 4 42 1\n")
     assert main(["segment", str(path)]) == 0
@@ -152,18 +135,6 @@ def test_derive_status_from_pressure_flag(tmp_path, capsys):
     assert main(["segment", str(path), "--derive-status-from-pressure"]) == 0
     derived = capsys.readouterr().out
     assert "on_surface" in derived
-
-
-def test_derive_status_refuses_four_column_file(tmp_path, capsys):
-    # a four-column file has no pressure: deriving from it would mark every sample in-air
-    path = write_session(tmp_path, text="0 0 0 1\n1 1 2 1\n2 2 4 0\n")
-    message = f"error: {path}: deriving status needs the pressure column; the file has 4 columns\n"
-    assert main(["segment", str(path), "--derive-status-from-pressure"]) == 2
-    assert capsys.readouterr() == ("", message)
-    manifest = tmp_path / "manifest.csv"
-    manifest.write_text(manifest_text("rec.svc,db,copy,s0,control"), encoding="utf-8")
-    assert main(["features", str(manifest), "--derive-status-from-pressure"]) == 2
-    assert capsys.readouterr() == ("", message)
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -457,6 +428,11 @@ CONTRACT_FILES = {  # beside the corpus_with_warnings corpus in corpus/
     "one.csv": manifest_text("one.svc,d,t,s,a"),
     "no_t2.csv": manifest_text(*NO_T2),
     "bad_t2.csv": manifest_text(*NO_T2, "bad.svc,d,t2,s2,b", "bad.svc,d,t2,s3,b"),
+    "zero.svc": "0 0 zero 1\n",
+    "dup.svc": "0 0 0 1\n1 1 2 1\n2 2 2 1\n3 3 4 1\n",  # line 3 repeats timestamp 2
+    "four.svc": "0 0 0 1\n1 1 2 1\n2 2 4 0\n",  # four columns: no pressure
+    "four.csv": manifest_text("four.svc,db,copy,s0,control"),
+    "huge.svc": f"1{'0' * 400} 0 0 1\n0 0 2 1\n",  # an x that no float holds
 }
 
 
@@ -479,6 +455,8 @@ WARN_3 = (WARN_1 + "WARN corpus/patient_000.svc:6 duplicate timestamp 6 dropped\
           "WARN corpus/patient_002.svc:6 duplicate timestamp 6 dropped\n")
 COHORTS = "--cohort-a control --cohort-b patient"
 EXCLUDED = "WARN bad.svc anomalous: excluded from comparison (cohort {}, task {})\n"
+FOUR_COLUMNS = ("error: four.svc: deriving status needs the pressure column; "
+                "the file has 4 columns\n")
 # each command line (its argv joined by spaces), its exit code, the sha256 of
 # its stdout (None for a nonzero exit, which writes none) and its whole stderr:
 # a golden that changes only with an intended change of output. Every compare
@@ -535,6 +513,22 @@ CONTRACT = {
                                        EXCLUDED.format("b", "t2") * 2 + "error: task 't2': "
                                        "cohort 'b' is empty after anomaly exclusion: "
                                        "all 2 of its files are anomalous\n"),
+    "parse_malformed": ("parse zero.svc", 2, None,
+                        "error: line 1: non-integer field in '0 0 zero 1'\n"),
+    "parse_missing": ("parse absent.svc", 2, None,
+                      "error: [Errno 2] No such file or directory: 'absent.svc'\n"),
+    # the first row of a timestamp wins; each later one is dropped with a warning
+    "parse_duplicate_timestamp": ("parse dup.svc", 0,
+                                  "47f2366b437c7af5472078550d97e98a1e87e0f5746510aeb5aba8bd584aa938",
+                                  "WARN dup.svc:3 duplicate timestamp 2 dropped\n"),
+    # a four-column file has no pressure: deriving from it would mark every sample in-air
+    "derive_status_four_columns": ("segment four.svc --derive-status-from-pressure", 2, None,
+                                   FOUR_COLUMNS),
+    "derive_status_four_columns_manifest": ("features four.csv --derive-status-from-pressure",
+                                            2, None, FOUR_COLUMNS),
+    # the view box is written in floats, so an x beyond their range is refused, not drawn
+    "render_beyond_float": ("render huge.svc", 3, None, "error: huge.svc: x coordinates exceed "
+                            "the float range; the trajectories cannot be drawn\n"),
 }
 
 
@@ -630,7 +624,11 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     large = str(long_recording(tmp_path))
     to = ["--out", str(tmp_path / "output")]
     synth = {"penair.synth", "hashlib", "configparser"}
-    single = synth | {"penair.stats", "pickle"}  # a one-recording command
+    # penair's value classes need neither dataclasses (nor its inspect) nor
+    # typing; synth's spec classes are dataclasses. Under -S no site module
+    # loads typing first, so a command that loaded it would show here
+    only_synth = synth | {"dataclasses", "inspect", "typing"}
+    single = only_synth | {"penair.stats", "pickle"}  # a one-recording command
     # json loads where a recording is parsed, for ingest's JSON scanner
     runs = {  # command: (argv, modules it loads, modules it must not load)
         "parse": (["parse", recording, *to], {"penair.ingest", "json"}, single),
@@ -641,13 +639,13 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         # run_cli_in_fresh_interpreter gives two workers, so these fan out, and
         # only the workers parse
         "features": (["features", str(manifest), *to], {"pickle"},
-                     synth | {"penair.stats", "json"}),
+                     only_synth | {"penair.stats", "json"}),
         "aggregate": (["aggregate", str(manifest), *to], {"pickle"},
-                      synth | {"penair.stats", "json"}),
+                      only_synth | {"penair.stats", "json"}),
         "compare": (["compare", str(manifest), "--cohort-a", "control", "--cohort-b", "patient",
-                     *to], {"penair.stats", "pickle"}, synth | {"json"}),
+                     *to], {"penair.stats", "pickle"}, only_synth | {"json"}),
         "synth": (["synth", "--spec", str(tmp_path / "corpus.ini"), "--seed", "1",
-                   "--out", str(tmp_path / "again")], synth, {"json"}),
+                   "--out", str(tmp_path / "again")], synth | {"dataclasses"}, {"json"}),
     }
     # what a bare interpreter loads is not penair's doing
     bare = set(subprocess.run([sys.executable, "-S", "-c",

@@ -120,6 +120,14 @@ def test_an_empty_column_is_refused_not_zero_filled():
         SampleStream.from_columns([0, 1], [0, 1], [5, 6], [0, 0], pressure=[])
 
 
+def test_a_stream_is_built_only_by_from_columns_or_the_parser():
+    # SampleStream() would be a stream without even the columns
+    for args in ((), ((0,), (0,), (0,), (1,), (0,), (0,), (0,), "<stream>", ())):
+        with pytest.raises(TypeError, match="^a SampleStream is built by "
+                                            r"SampleStream\.from_columns or the parser$"):
+            SampleStream(*args)
+
+
 def test_parsed_and_built_streams_refuse_emptiness_alike():
     with pytest.raises(EmptyInputError) as parsed:
         parse_session("")

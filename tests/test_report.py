@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from penair import (
     CohortSummary,
+    DegenerateDataError,
     Feature,
     RunConfig,
     SampleStream,
@@ -200,3 +201,30 @@ def test_render_is_deterministic():
     stream = stream_from([0, 2, 4, 40, 42], [1, 0, 0, 1, 1])
     seg = segment(stream)
     assert render_trajectories(stream, seg) == render_trajectories(stream, seg)
+
+
+# the largest int that a float holds: one more rounds up past the largest float
+FLOAT_EDGE = 2**1024 - 2**970 - 1
+
+
+@pytest.mark.parametrize("xs, ys, axis", [
+    ([10**400, 0], [0, 0], "x"),
+    ([10**400, 10**400], [0, 0], "x"),  # no extent: the unit pad
+    ([0, 0], [-10**309, 0], "y"),
+    ([int(-1.7e308), int(1.7e308)], [0, 0], "x"),  # both ends fit, the extent does not
+    ([FLOAT_EDGE + 1] * 2, [0, 0], "x"),
+    ([-FLOAT_EDGE, -FLOAT_EDGE + 10**306], [0, 0], "x"),  # the margin takes the origin past it
+])
+def test_render_refuses_coordinates_beyond_the_float_range(xs, ys, axis):
+    stream = SampleStream.from_columns(xs, ys, [0, 2], [1, 1], source_id="rec.svc")
+    message = (rf"^rec\.svc: {axis} coordinates exceed the float range; "
+               "the trajectories cannot be drawn$")
+    with pytest.raises(DegenerateDataError, match=message):
+        render_trajectories(stream, segment(stream))
+
+
+def test_render_draws_up_to_the_float_range():
+    stream = SampleStream.from_columns([FLOAT_EDGE] * 2, [-FLOAT_EDGE] * 2, [0, 2], [1, 1])
+    svg = render_trajectories(stream, segment(stream))
+    assert "inf" not in svg
+    ET.fromstring(svg)
