@@ -15,12 +15,16 @@ a form feed, U+0085 and U+2028 end a row too. An integer field with more
 digits than ``sys.get_int_max_str_digits()`` is a ParseError naming its digit
 count and the limit.
 
-A block of text in serialize_session's subset (``-?[0-9]+`` fields, one
-space between them, ``"\\n"`` line ends) that breaks no rule is read by the
-JSON scanner, in C; any other block is read line by line, each line split
-into fields that ``int()`` reads. Both read a field to the same value, and
-every warning and error comes from the line reader, so the subset is only
-read faster.
+Text is read a block of some thousand lines at a time. A block whose byte
+skeleton, what is left once the digits and ``-`` are deleted, shows
+``width`` fields on every line (``width - 1`` spaces, then ``"\\n"``) is
+read by the JSON scanner, in C, as one flat array of the block's fields,
+and column ``i`` is every ``width``-th value from the ``i``-th. Where that
+scan fails, a field or separator being outside serialize_session's subset
+(``-?[0-9]+`` fields, one space between them, ``"\\n"`` line ends), or a row
+breaks a rule, the block is read line by line, each line split into fields
+that ``int()`` reads. Both read a field to the same value, and every warning
+and error comes from the line reader, so the subset is only read faster.
 
 Manifest format: CSV with the exact header ``path,database,task,subject,cohort``.
 Relative paths are resolved against the manifest's own directory. A manifest
@@ -126,7 +130,9 @@ class SampleStream(Frozen):
     def from_columns(cls, x, y, t, status, azimuth=None, altitude=None, pressure=None,
                      *, source_id: str = "<stream>") -> "SampleStream":
         """Build a stream from integer columns of equal length; an omitted
-        auxiliary column is zero-filled, an empty one is refused."""
+        auxiliary column is zero-filled, an empty one is refused, and a
+        value that is not an int (a bool is one) is a ValueError naming its
+        column."""
         columns = (x, y, t, status, azimuth, altitude, pressure)
         stream = cls._finish([None if c is None else tuple(c) for c in columns], source_id, ())
         _check_rules(stream)
@@ -158,20 +164,35 @@ class SampleStream(Frozen):
 
 
 def _check_rules(stream: SampleStream) -> None:
-    # the checks of a hand-built stream: its shape, then the parser's rules
+    # the checks of a hand-built stream: its shape, its values' type, then the parser's rules
     t, status, pressure = stream.t, stream.status, stream.pressure
     if any(len(getattr(stream, name)) != len(t) for name in COLUMNS):
         raise ValueError(f"{stream.source_id}: columns differ in length")
+    for name in COLUMNS:
+        column = getattr(stream, name)
+        if not _all_ints(column):
+            for i, value in enumerate(column):
+                if not isinstance(value, int):
+                    raise ValueError(f"{stream.source_id}: sample {i}: "
+                                     f"{name} must be an int, got {value!r}")
     if not _follows_rules(t, status, pressure):
         for i, row in enumerate(zip((None,) + t, t, status, pressure)):
             if fault := _row_fault(*row):
                 raise ValueError(f"{stream.source_id}: sample {i}: {fault[1]}")
 
 
+def _all_ints(column) -> bool:
+    # one pass in C: a float, Fraction or Decimal makes the sum one too, a str no sum
+    try:
+        return type(sum(column)) is int
+    except TypeError:
+        return False
+
+
 def _follows_rules(t, status, pressure, last_t=None) -> bool:
     # the recording rules over int columns: status is 0 or 1, pressure >= 0,
     # and timestamps strictly increase after last_t
-    return ({*status} <= {0, 1} and min(pressure, default=0) >= 0
+    return (status.count(0) + status.count(1) == len(status) and min(pressure, default=0) >= 0
             and (last_t is None or t[0] > last_t) and all(map(lt, t, islice(t, 1, None))))
 
 
@@ -201,18 +222,20 @@ class ParseOptions(Frozen):
 
 
 # Text is parsed a block of about this many characters (some thousand rows)
-# at a time: read as JSON where _scanned_rows can and the rows break no rule,
-# else line by line.
+# at a time: read as one flat JSON array where _scanned_columns can and the
+# rows break no rule, else line by line.
 _BLOCK_CHARS = 32768
 
-# the characters of serialize_session's subset: "-?[0-9]+" fields, one space, "\n"
-_SCANNABLE = b"0123456789- \n"
+# the characters of a field of serialize_session's subset, "-?[0-9]+"
+_FIELD_CHARS = b"0123456789-"
+# a block's spaces and line ends made commas: its fields as one flat JSON array
+_COMMAS = bytes.maketrans(b" \n", b",,")
 
 
 class _ColumnBuilder:
-    """Validates rows and appends them to per-column lists.
+    """Validates blocks of rows and appends them to per-column lists.
 
-    A block that the JSON scanner does not read, or whose rows fail any
+    A block that _scanned_columns does not read, or whose rows fail any
     check, is read again one line at a time, so the first faulty line in the
     file raises, or a duplicate-timestamp row is dropped with a warning.
     """
@@ -231,11 +254,12 @@ class _ColumnBuilder:
             # cut just after a "\n", so the blocks' splitlines() adds up to the text's
             end = text.find("\n", pos + _BLOCK_CHARS) + 1 or len(text)
             chunk = text[pos:end]
-            rows = _scanned_rows(chunk)
-            block = rows and self._valid_block(rows)
-            if block:  # rows are its lines, one each
-                self._append(block)
-                self.lines += len(rows)
+            block = self._block_columns(chunk)
+            if block:  # its lines are rows, one each
+                for column, values in zip(self.columns, block):
+                    column.extend(values)
+                self.width, self.last_t = len(block), block[2][-1]
+                self.lines += len(block[2])
             else:  # read row by row, so every diagnostic is the row reader's
                 for line in chunk.splitlines():
                     self.lines += 1
@@ -243,20 +267,13 @@ class _ColumnBuilder:
                         self._take(line, fields)
             pos = end
 
-    def _append(self, block) -> None:
-        for column, values in zip(self.columns, block):
-            column.extend(values)
-        self.width = len(block)
-        self.last_t = block[2][-1]
-
-    def _valid_block(self, rows):
-        # the columns of scanned rows if they are a block of this width that
-        # keeps the rules after last_t, else None
-        width = self.width or len(rows[0])
-        if width not in (4, 7) or {*map(len, rows)} != {width}:
+    def _block_columns(self, chunk: str) -> list[list[int]] | None:
+        # the scanned columns of chunk if it is a block of this file's width
+        # whose rows keep the rules after last_t, else None
+        block = _scanned_columns(chunk, self.width)
+        if block is None or len(block) not in (4, 7):
             return None
-        block = list(zip(*rows))
-        pressure = block[6] if width == 7 else ()
+        pressure = block[6] if len(block) == 7 else ()
         return block if _follows_rules(block[2], block[3], pressure, self.last_t) else None
 
     def _take(self, raw: str, fields: list[str]) -> None:
@@ -288,28 +305,38 @@ class _ColumnBuilder:
         self.warnings.append(ParseWarning(lineno, f"duplicate timestamp {t} dropped"))
 
 
-def _scanned_rows(chunk: str) -> list[list[int]] | None:
-    """The rows of ``chunk``, lines that each end in ``"\\n"`` but maybe the
-    last, as lists of ints read by the JSON scanner; None where ``chunk``
-    holds a character outside ``_SCANNABLE`` or the scanner refuses it.
+def _scanned_columns(chunk: str, width: int | None = None) -> list[list[int]] | None:
+    """The columns of ``chunk``, lines that each end in ``"\\n"`` but maybe
+    the last, read by the JSON scanner if every line holds ``width`` fields
+    (the first line's count if None) in serialize_session's subset; else None.
 
-    Such a chunk, its spaces made commas and its line ends ``"],["``, is a
-    JSON array of arrays exactly when every field is ``-?(0|[1-9][0-9]*)``
-    within the digit limit and every separator one space: a subset of the
-    ``int()`` literals, read to the same values, and the lines are the
-    chunk's ``splitlines()``. A blank line reads as an empty row, which no
-    width check passes.
+    Deleting the fields' characters, digits and ``-``, leaves a line of the
+    subset as ``width - 1`` spaces and its line end, so one comparison of the
+    chunk's skeleton proves every line's width: a blank line, or lines whose
+    widths balance out, fail it. The chunk, its spaces and line ends made
+    commas, is then a flat JSON array exactly when every field is
+    ``-?(0|[1-9][0-9]*)`` within the digit limit and every separator one
+    space: a subset of the ``int()`` literals, read to the same values.
+    Column ``i`` is every ``width``-th value from the ``i``-th.
     """
     import json  # only a command that parses a recording loads it
 
     # isascii first: a lone surrogate, which a caller's str may hold, cannot be encoded
-    if not chunk.isascii() or chunk.encode("ascii").translate(None, _SCANNABLE):
+    if not chunk.isascii():
         return None
-    body = chunk.removesuffix("\n").replace(" ", ",").replace("\n", "],[")
+    raw = chunk.encode("ascii")
+    if not raw.endswith(b"\n"):  # the file's last line, unterminated
+        raw += b"\n"
+    skeleton = raw.translate(None, _FIELD_CHARS)
+    # a line of the skeleton is width - 1 spaces and "\n": width bytes
+    width = width or skeleton.find(b"\n") + 1
+    if skeleton != (b" " * (width - 1) + b"\n") * (len(skeleton) // width):
+        return None
     try:
-        return json.loads(f"[[{body}]]")
+        flat = json.loads(b"[" + raw[:-1].translate(_COMMAS) + b"]")
     except ValueError:  # a field or separator outside the subset
         return None
+    return [flat[i::width] for i in range(width)]
 
 
 def _bad_field(field: str, raw: str) -> str:

@@ -14,9 +14,9 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from enum import Enum
 from fractions import Fraction
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
 from math import floor
-from operator import ne, sub
+from operator import lt, sub
 
 from .errors import InsufficientDataError
 from .frozen import Frozen
@@ -110,8 +110,8 @@ def _period_and_gaps(stream: SampleStream, cfg: SegmentationConfig) -> tuple[int
     best = max(counts.values())
     period = min(d for d, c in counts.items() if c == best)
     # intervals are integers, so "> threshold" is "> floor(threshold)"
-    above = floor(cfg.gap_threshold(period)).__lt__
-    return period, list(compress(count(), map(above, intervals)))
+    limit = floor(cfg.gap_threshold(period))
+    return period, list(compress(count(), map(lt, repeat(limit), intervals)))
 
 
 def nominal_period(stream: SampleStream) -> int:
@@ -145,10 +145,9 @@ def segment(
     strokes: list[Stroke] = []
     period, found = _period_and_gaps(stream, cfg) if len(t) > 1 else (0, ())
     gaps = set(found)
-    changes = compress(count(), map(ne, status, islice(status, 1, None)))
     run_start = 0
     # a run of same-status samples ends at a gap or before a status change
-    for i in sorted(gaps.union(changes)):
+    for i in sorted(gaps.union(_status_changes(status))):
         # the run's span ends where the gap starts or where the next run starts
         end_t = t[i] if i in gaps else t[i + 1]
         strokes.append(Stroke(_STATUS_CLASS[status[run_start]], t[run_start], end_t,
@@ -160,6 +159,18 @@ def segment(
                           (run_start, len(t))))
     return SessionSegmentation(tuple(strokes), period,
                                *class_totals((s.cls, s.start_t, s.end_t) for s in strokes))
+
+
+def _status_changes(status) -> list[int]:
+    """Each ``i`` whose sample's status differs from sample ``i + 1``'s:
+    status is 0 or 1, so each change is one C search for the other value."""
+    flags = bytes(status)
+    changes = []
+    i = flags.find(1 - flags[0])
+    while i > 0:
+        changes.append(i - 1)
+        i = flags.find(flags[i - 1], i)
+    return changes
 
 
 def class_totals(spans) -> tuple[dict[StrokeClass, int], dict[StrokeClass, int]]:

@@ -433,6 +433,9 @@ CONTRACT_FILES = {  # beside the corpus_with_warnings corpus in corpus/
     "four.svc": "0 0 0 1\n1 1 2 1\n2 2 4 0\n",  # four columns: no pressure
     "four.csv": manifest_text("four.svc,db,copy,s0,control"),
     "huge.svc": f"1{'0' * 400} 0 0 1\n0 0 2 1\n",  # an x that no float holds
+    # 4, 3 and 5 fields: as many as three rows of 4 hold, but line 2 is short
+    "balanced.svc": "0 0 1 1\n0 0 2\n1 0 0 3 1\n",
+    "balanced.csv": manifest_text("balanced.svc,db,copy,s0,control"),
 }
 
 
@@ -529,6 +532,11 @@ CONTRACT = {
     # the view box is written in floats, so an x beyond their range is refused, not drawn
     "render_beyond_float": ("render huge.svc", 3, None, "error: huge.svc: x coordinates exceed "
                             "the float range; the trajectories cannot be drawn\n"),
+    # every line's width is checked, not the block's total of fields
+    "parse_widths_balance_out": ("parse balanced.svc", 2, None,
+                                 "error: line 2: expected 4 columns, got 3\n"),
+    "features_widths_balance_out": ("features balanced.csv", 2, None,
+                                    "error: balanced.svc: line 2: expected 4 columns, got 3\n"),
 }
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from penair import (
     parse_session,
     read_manifest,
     read_session,
+    segment,
     serialize_session,
 )
 from penair import ingest
@@ -118,6 +120,25 @@ def test_stream_columns_must_be_of_equal_length():
 def test_an_empty_column_is_refused_not_zero_filled():
     with pytest.raises(ValueError, match="^<stream>: columns differ in length$"):
         SampleStream.from_columns([0, 1], [0, 1], [5, 6], [0, 0], pressure=[])
+
+
+@pytest.mark.parametrize("column, value", [
+    ("t", 2.0), ("status", 1.0), ("x", Fraction(1, 2)), ("pressure", "3"), ("altitude", None),
+])
+def test_from_columns_refuses_a_value_that_is_not_an_int(column, value):
+    # a float t made every interval a long stroke; a float status crashed segment
+    columns = {name: [0, 0, 0, 0] for name in ingest.COLUMNS}
+    columns["t"], columns["status"] = [0, 1, 3, 4], [1, 1, 0, 1]
+    columns[column][2] = value
+    with pytest.raises(ValueError) as info:
+        SampleStream.from_columns(**columns)
+    assert str(info.value) == f"<stream>: sample 2: {column} must be an int, got {value!r}"
+
+
+def test_from_columns_takes_bools_as_ints():
+    stream = SampleStream.from_columns([0, 0], [0, 0], [1, 2], [True, False])
+    assert stream.status == (True, False) == (1, 0)
+    assert [s.cls.value for s in segment(stream).strokes] == ["on_surface", "in_air_short"]
 
 
 def test_a_stream_is_built_only_by_from_columns_or_the_parser():
@@ -356,13 +377,38 @@ def canonical_rows(n):
 @pytest.mark.parametrize("chunk, rows", [
     ("1 -2 3 4\n5 6 7 0\n", [[1, -2, 3, 4], [5, 6, 7, 0]]),
     ("1 -2 3 4\n5 6 7 0", [[1, -2, 3, 4], [5, 6, 7, 0]]),
-    ("1 2\n\n3 4\n", [[1, 2], [], [3, 4]]),  # a blank line is an empty row
+    ("1 2\n\n3 4\n", None),  # a blank line
     ("1 2\r\n", None), ("1\t2\n", None), ("+1 2\n", None), ("1.5 2\n", None),
     ("٣ 2\n", None), ("1 \ud800\n", None), ("007 2\n", None), ("1  2\n", None), ("1 2 \n", None),
     (" 1 2\n", None), ("1-2 3\n", None), ("- 1\n", None), ("--1 2\n", None),
+    ("0 0 1 1\n\n0 0 2 1\n", None),  # a blank line among four-column rows
+    ("0 0 1 1\n0 0 2\n1 0 0 3 1\n", None),  # 4, 3 and 5 fields: 12, as three rows of 4 hold
 ])
 def test_json_scanner_reads_exactly_the_writers_subset(chunk, rows):
-    assert ingest._scanned_rows(chunk) == rows
+    # any width is scanned, the first line's; the rows come back as columns
+    columns = rows and [list(column) for column in zip(*rows)]
+    assert ingest._scanned_columns(chunk) == columns
+
+
+def refuse_to_read_a_line(builder, raw, fields):
+    raise AssertionError(f"read line by line: {raw!r}")
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_canonical_text_never_leaves_the_scanner(final_newline, monkeypatch):
+    # a block refused by mistake would still be read right, only slower
+    n = 8000
+    stream = SampleStream.from_columns(range(n), range(0, -n, -1), range(1, n + 1),
+                                       [i % 2 for i in range(n)], [0] * n, [45] * n,
+                                       [i % 1024 for i in range(n)])
+    seven = serialize_session(stream)
+    four = "".join(f"{i % 7} {-i} {i} {i % 2}\n" for i in range(n))
+    assert min(len(seven), len(four)) > 3 * ingest._BLOCK_CHARS
+    if not final_newline:
+        seven, four = seven.removesuffix("\n"), four.removesuffix("\n")
+    monkeypatch.setattr(ingest._ColumnBuilder, "_take", refuse_to_read_a_line)
+    assert parse_session(seven) == stream
+    assert parse_session(four).t == tuple(range(n))
 
 
 def test_lone_surrogate_is_a_non_integer_field():

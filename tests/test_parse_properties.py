@@ -157,6 +157,8 @@ def recording_texts(draw):
 # a blank line and a short row among canonical ones
 @example(text="0 0 1 1\n\n0 0 2 1\n", block_chars=100, derive=False)
 @example(text="0 0 1 1\n0 0 2\n", block_chars=100, derive=False)
+# lines of 4, 3 and 5 fields: as many as three rows of 4 hold
+@example(text="0 0 1 1\n0 0 2\n1 0 0 3 1\n", block_chars=100, derive=False)
 # a block ends at the first "\n" at least block_chars into it, so each case
 # below falls at a block boundary:
 # a duplicate timestamp at a boundary is dropped with a warning

@@ -1,5 +1,6 @@
 """Hypothesis properties of ``segment`` on generated columns."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from math import floor
@@ -84,12 +85,45 @@ def test_period_and_gaps_agree_with_segment(stream, factor, floor_ticks):
     ]
 
 
+# intervals 1 1 1 2 1 1: at gap_factor 3/2 the step of 2 is a gap in any tick unit
+SEVEN_SAMPLES = SampleStream.from_columns(range(7), range(7), [0, 1, 2, 3, 5, 6, 7], [1] * 7)
+SAMPLED = {0: StrokeClass.IN_AIR_SHORT, 1: StrokeClass.ON_SURFACE}
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams(), gap_factors, min_gap_ticks)
+# the step of 2 equals the floor of the threshold 2 (period 1, factor 2): no gap
+@example(SEVEN_SAMPLES, Fraction(2), None)
+# status changes at the first and the last interval
+@example(SampleStream.from_columns(range(4), range(4), range(4), [0, 1, 1, 0]), Fraction(3), None)
+def test_segment_matches_a_plain_loop(stream, factor, floor_ticks):
+    cfg = SegmentationConfig(factor, floor_ticks)
+    strokes = segment(stream, cfg).strokes
+    t, status = stream.t, stream.status
+    long_after = []  # the index of each interval strictly above the threshold
+    if len(t) > 1:
+        counts = Counter(b - a for a, b in zip(t, t[1:]))
+        period = min(d for d in counts if counts[d] == max(counts.values()))
+        limit = floor(cfg.gap_threshold(period))
+        for i in range(len(t) - 1):
+            if t[i + 1] - t[i] > limit:
+                long_after.append(i)
+    assert [(s.start_t, s.end_t) for s in strokes if s.cls is StrokeClass.IN_AIR_LONG] == [
+        (t[i], t[i + 1]) for i in long_after]
+    for prev, cur in zip(strokes, strokes[1:]):
+        if StrokeClass.IN_AIR_LONG not in (prev.cls, cur.cls):
+            assert prev.cls is not cur.cls
+    for stroke in strokes:
+        if stroke.cls is not StrokeClass.IN_AIR_LONG:
+            lo, hi = stroke.sample_range
+            for i in range(lo, hi):
+                assert SAMPLED[status[i]] is stroke.cls
+
+
 def features(stream, cfg, policy=None):
     return feature_vector(segment(stream, cfg), policy)
 
 
-# intervals 1 1 1 2 1 1: at gap_factor 3/2 the step of 2 is a gap in any tick unit
-SEVEN_SAMPLES = SampleStream.from_columns(range(7), range(7), [0, 1, 2, 3, 5, 6, 7], [1] * 7)
 TIMES = (Feature.TIME_ON_SURFACE, Feature.TIME_IN_AIR_SHORT, Feature.TIME_IN_AIR_LONG)
 
 
