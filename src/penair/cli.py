@@ -5,12 +5,13 @@ Each handler returns its output text (a table, an SVG, or the manifest path
 synth wrote to its --out DIR); main alone writes it, to --out PATH or else to
 stdout. WARN and error lines go to stderr. Exit codes:
 0 success, 1 usage error, 2 parse/format error, 3 empty-cohort or
-degenerate-data error. Manifest commands read their files in one forked
-process per usable CPU; output and warnings keep manifest order. The
-single-file commands (parse, segment, render) parse their recording in this
-process. A command imports only the modules it runs: synth and the rank tests
-load in their handlers, pickle only when forking. No command but synth loads
-dataclasses or typing: the value classes it uses are named tuples and
+degenerate-data error. Manifest commands read their files, and synth
+generates its corpus's files, in one forked process per usable CPU; output,
+warnings and the error reported keep manifest order, and a corpus is the same
+bytes at any count. The single-file commands (parse, segment, render) parse
+their recording in this process. A command imports only the modules it runs:
+synth and the rank tests load in their handlers, pickle only when forking. No
+command loads dataclasses or typing: the value classes are named tuples and
 penair.frozen classes, which cost nothing to import beyond their definitions.
 """
 
@@ -195,30 +196,48 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _reduce_files(records, opts: ParseOptions, seg_cfg, policy) -> list:
-    """read_session -> segment -> feature_vector for each record, in order.
-
-    Returns ``(warnings, vector)`` per record. At the first PenAirError or
-    OSError it stops and returns that exception as the last entry.
-    """
+def _until_error(step, items) -> list:
+    """``step(item)`` for each item, in order. At the first PenAirError or
+    OSError it stops and returns that exception as the last entry."""
     results = []
-    for record in records:
+    for item in items:
         try:
-            stream = read_session(record.path, opts)
-            vector = feature_vector(segment(stream, seg_cfg), policy, record)
+            results.append(step(item))
         except (PenAirError, OSError) as exc:
             results.append(exc)
             break
-        results.append((stream.warnings, vector))
     return results
 
 
-def _fan_out(records, workers: int, context) -> list:
-    """``_reduce_files`` on each share ``records[w::workers]`` in one forked
-    child, merged back into manifest order; entries after a share's exception
-    stay None. Every child is read and reaped before any is judged: one that
-    exited without sending raises ChildProcessError, one that hit a bug its
-    RuntimeError."""
+def _reduce_files(records, opts: ParseOptions, seg_cfg, policy) -> list:
+    """read_session -> segment -> feature_vector for each record, in order,
+    as ``_until_error`` returns them: ``(warnings, vector)`` per record."""
+
+    def reduce(record):
+        stream = read_session(record.path, opts)
+        return stream.warnings, feature_vector(segment(stream, seg_cfg), policy, record)
+
+    return _until_error(reduce, records)
+
+
+def _synth_texts(members, spec, master_seed: int) -> list:
+    """The recording text of each synth corpus member, in order, as
+    ``_until_error`` returns them."""
+    from .synth import member_text
+
+    return _until_error(lambda member: member_text(spec, master_seed, member), members)
+
+
+def _fan_out(work, items, context) -> list:
+    """``work(share, *context)`` on each share ``items[w::workers]`` in one
+    forked child per usable CPU, merged back into the order of ``items``;
+    entries after a share's exception stay None. With one usable CPU, or one
+    item, ``work(items, *context)`` runs in this process. Every child is read
+    and reaped before any is judged: one that exited without sending raises
+    ChildProcessError, one that hit a bug its RuntimeError."""
+    workers = min(len(items), _usable_cpus())
+    if workers < 2:
+        return work(items, *context)
     # raw fork, not a multiprocessing pool: the CLI runs no threads, and a
     # pool's import and start-up ate most of the saving when measured
     import pickle  # before the fork, so the children inherit it loaded
@@ -235,7 +254,7 @@ def _fan_out(records, workers: int, context) -> list:
                 try:
                     os.close(fds[0])
                     try:
-                        result = _reduce_files(records[w::workers], *context)
+                        result = work(items[w::workers], *context)
                     except Exception:  # a bug: the parent raises it with this traceback
                         import traceback
 
@@ -261,7 +280,7 @@ def _fan_out(records, workers: int, context) -> list:
         with open(read_fd, "rb") as pipe:
             data = pipe.read()
         payloads.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data))
-    merged = [None] * len(records)
+    merged = [None] * len(items)
     for w, (status, data) in enumerate(payloads):
         if status != 0:
             raise ChildProcessError(
@@ -276,11 +295,8 @@ def _fan_out(records, workers: int, context) -> list:
 def _collect_vectors(manifest_path: str, args, cfg: RunConfig):
     records = read_manifest(manifest_path)
     context = (_parse_options(args), cfg.segmentation_config(), cfg.anomaly_policy())
-    workers = min(len(records), _usable_cpus())
-    results = (_fan_out(records, workers, context) if workers > 1
-               else _reduce_files(records, *context))
     vectors = []
-    for record, result in zip(records, results):
+    for record, result in zip(records, _fan_out(_reduce_files, records, context)):
         if isinstance(result, ParseError) and result.line is not None:
             # a row error names its line, not its file: add it, as WARN lines do
             raise ParseError(f"{record.path}: {result}") from result
@@ -365,10 +381,15 @@ def _number(x: float) -> str:
 
 
 def _cmd_synth(args, cfg: None) -> str:
-    from .synth import generate_corpus, read_corpus_spec
+    from .synth import corpus_members, read_corpus_spec, write_corpus
 
-    manifest = generate_corpus(read_corpus_spec(args.spec), args.out_dir, args.seed)
-    return f"{manifest}\n"
+    spec = read_corpus_spec(args.spec)
+    texts = _fan_out(_synth_texts, corpus_members(spec), (spec, args.seed))
+    # a member's text does not depend on which process drew it, so the first
+    # refusal in corpus order is the one a one-process run raises
+    if refused := next((text for text in texts if not isinstance(text, str)), None):
+        raise refused
+    return f"{write_corpus(spec, texts, args.out_dir)}\n"
 
 
 def _cmd_render(args, cfg: RunConfig) -> str:

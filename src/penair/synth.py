@@ -20,11 +20,11 @@ from __future__ import annotations
 import hashlib
 import random
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import ManifestError, SynthSpecError
+from .frozen import Frozen
 from .ingest import (MANIFEST_HEADER, SampleStream, csv_text, load_manifest, read_text,
                      serialize_session)
 from .segmentation import SegmentationConfig, StrokeClass, class_totals, segment
@@ -36,8 +36,7 @@ def file_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(frozen=True)
-class SynthSpec:
+class SynthSpec(Frozen):
     """One synthetic session.
 
     stroke_plan entries are (class, duration in ticks). The plan must not
@@ -93,8 +92,7 @@ class SynthSpec:
             raise SynthSpecError("plan cannot start or end with an in-air-long entry")
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(Frozen):
     """Realized stroke boundaries and per-class totals of a generated session."""
 
     strokes: tuple[tuple[StrokeClass, int, int], ...]
@@ -213,8 +211,7 @@ def _verify_unambiguous(
     )
 
 
-@dataclass(frozen=True)
-class IntRange:
+class IntRange(Frozen):
     """Inclusive integer range for corpus draws."""
 
     lo: int
@@ -228,8 +225,7 @@ class IntRange:
         return rng.randint(self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class PlanDistribution:
+class PlanDistribution(Frozen):
     """Random stroke-plan family for one cohort.
 
     A plan alternates on-surface and short in-air entries (surface first and
@@ -261,8 +257,7 @@ class PlanDistribution:
         return tuple(entries)
 
 
-@dataclass(frozen=True)
-class CohortSpec:
+class CohortSpec(Frozen):
     n_files: int
     plan: PlanDistribution
 
@@ -271,8 +266,7 @@ class CohortSpec:
             raise SynthSpecError(f"cohort needs at least one file, got {self.n_files}")
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(Frozen):
     """A whole corpus: shared timing parameters plus one plan family per cohort."""
 
     nominal_period: int
@@ -310,30 +304,36 @@ class CorpusSpec:
                 raise SynthSpecError(f"cohort {name!r}: {exc}") from None
 
 
-def generate_corpus(
-    spec: CorpusSpec, out_dir: str | Path, master_seed: int
-) -> Path:
-    """Write one file per cohort member plus ``manifest.csv``; returns the
-    manifest path. Fully determined by (spec, master_seed): same inputs give
-    byte-identical files. Every session is generated, and the manifest read
-    back by load_manifest, before anything is written, so a session the
-    generator refuses or a manifest the reader refuses leaves no files behind."""
-    texts: list[str] = []
-    rows: list[tuple[str, str, str, str, str]] = []
-    for cohort_name, cohort in spec.cohorts.items():
-        for i in range(cohort.n_files):
-            plan_rng = random.Random(file_seed(master_seed, f"{cohort_name}:{i}:plan"))
-            session = SynthSpec(
-                nominal_period=spec.nominal_period,
-                jitter=spec.jitter,
-                stroke_plan=cohort.plan.build_plan(plan_rng),
-                seed=file_seed(master_seed, f"{cohort_name}:{i}:session"),
-                gap_factor=spec.gap_factor,
-            )
-            stream, _ = generate_session(session)
-            texts.append(serialize_session(stream))
-            name = f"{cohort_name}_{i:03d}.svc"
-            rows.append((name, spec.database, spec.task, f"{cohort_name}_{i:03d}", cohort_name))
+def corpus_members(spec: CorpusSpec) -> list[tuple[str, int]]:
+    """(cohort name, index within the cohort) of every file of the corpus, in
+    manifest order."""
+    return [(name, i) for name, cohort in spec.cohorts.items() for i in range(cohort.n_files)]
+
+
+def member_text(spec: CorpusSpec, master_seed: int, member: tuple[str, int]) -> str:
+    """The recording text of one corpus member. Its plan and its session draw
+    from their own seeds, derived from (master_seed, member), so members may
+    be generated in any order or in separate processes."""
+    cohort_name, i = member
+    plan_rng = random.Random(file_seed(master_seed, f"{cohort_name}:{i}:plan"))
+    session = SynthSpec(
+        nominal_period=spec.nominal_period,
+        jitter=spec.jitter,
+        stroke_plan=spec.cohorts[cohort_name].plan.build_plan(plan_rng),
+        seed=file_seed(master_seed, f"{cohort_name}:{i}:session"),
+        gap_factor=spec.gap_factor,
+    )
+    stream, _ = generate_session(session)
+    return serialize_session(stream)
+
+
+def write_corpus(spec: CorpusSpec, texts: list[str], out_dir: str | Path) -> Path:
+    """Write ``texts``, one per corpus member in manifest order, and
+    ``manifest.csv``; returns the manifest path. The manifest is read back by
+    load_manifest first, so a manifest the reader would refuse leaves no
+    files behind."""
+    rows = [(f"{cohort}_{i:03d}.svc", spec.database, spec.task, f"{cohort}_{i:03d}", cohort)
+            for cohort, i in corpus_members(spec)]
     manifest_text = csv_text(MANIFEST_HEADER, rows)
     try:  # what the manifest reader would refuse is not written
         load_manifest(manifest_text)
@@ -348,6 +348,18 @@ def generate_corpus(
     return manifest
 
 
+def generate_corpus(
+    spec: CorpusSpec, out_dir: str | Path, master_seed: int
+) -> Path:
+    """Write one file per cohort member plus ``manifest.csv``; returns the
+    manifest path. Fully determined by (spec, master_seed): same inputs give
+    byte-identical files. Every session is generated, and the manifest read
+    back by load_manifest, before anything is written, so a session the
+    generator refuses or a manifest the reader refuses leaves no files behind."""
+    texts = [member_text(spec, master_seed, member) for member in corpus_members(spec)]
+    return write_corpus(spec, texts, out_dir)
+
+
 def _parse_range(raw: str) -> IntRange:
     lo, sep, hi = raw.strip().partition("..")
     try:
@@ -359,7 +371,7 @@ def _parse_range(raw: str) -> IntRange:
 # The keys each section may hold and the function that reads each value.
 _CORPUS_KEYS = {"period": int, "jitter": int, "gap_factor": Fraction,
                 "database": str.strip, "task": str.strip}
-_COHORT_KEYS = {"files": int, **{f.name: _parse_range for f in fields(PlanDistribution)}}
+_COHORT_KEYS = {"files": int, **dict.fromkeys(PlanDistribution._fields, _parse_range)}
 
 
 def _read_section(parser: ConfigParser, section: str, readers: dict, required) -> dict:

@@ -194,24 +194,6 @@ def test_synth_refuses_the_common_flags_it_would_ignore(tmp_path, capsys, flag):
     assert not out.exists()
 
 
-def test_synth_bad_spec_exits_two(tmp_path, capsys):
-    spec = tmp_path / "corpus.ini"
-    spec.write_text("[corpus]\njitter = 3\n", encoding="utf-8")
-    assert main(["synth", "--spec", str(spec), "--seed", "1",
-                 "--out", str(tmp_path / "c")]) == 2
-
-
-def test_synth_refuses_nul_in_database_and_writes_nothing(tmp_path, capsys):
-    spec = tmp_path / "corpus.ini"
-    spec.write_text(CORPUS_INI.replace("database = demo", "database = de\0mo"), encoding="utf-8")
-    out = tmp_path / "c"
-    assert main(["synth", "--spec", str(spec), "--seed", "1", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: database and task names must not hold NUL\n"
-    assert not out.exists()
-
-
 def test_synth_writes_manifest_path(tmp_path, capsys):
     manifest = make_corpus(tmp_path)
     out = capsys.readouterr().out.strip()
@@ -436,6 +418,16 @@ CONTRACT_FILES = {  # beside the corpus_with_warnings corpus in corpus/
     # 4, 3 and 5 fields: as many as three rows of 4 hold, but line 2 is short
     "balanced.svc": "0 0 1 1\n0 0 2\n1 0 0 3 1\n",
     "balanced.csv": manifest_text("balanced.svc,db,copy,s0,control"),
+    "no_period.ini": "[corpus]\njitter = 3\n",
+    "nul.ini": CORPUS_INI.replace("database = demo", "database = de\0mo"),
+    # the stripped section name: [cohort  patient] names cohort patient again
+    "twice.ini": CORPUS_INI + "\n" + CORPUS_INI[CORPUS_INI.index("[cohort patient]"):].replace(
+        "[cohort patient]", "[cohort  patient]").replace("files = 4", "files = 1"),
+    # one-tick surface entries make 1 the modal step, so the gap threshold is 3
+    # and each 6-tick step crosses it: the spec loads, and its first member is refused
+    "ambiguous.ini": "[corpus]\nperiod = 6\njitter = 0\n\n[cohort c]\nfiles = 3\n"
+                     "surface_strokes = 4\nsurface_ticks = 1\nair_ticks = 7\ngaps = 0\n"
+                     "gap_ticks = 40\n",
 }
 
 
@@ -537,6 +529,17 @@ CONTRACT = {
                                  "error: line 2: expected 4 columns, got 3\n"),
     "features_widths_balance_out": ("features balanced.csv", 2, None,
                                     "error: balanced.svc: line 2: expected 4 columns, got 3\n"),
+    # synth refuses a spec, or a member of its corpus, before it writes anything
+    "synth_no_period": ("synth --spec no_period.ini --seed 1 --out c", 2, None,
+                        "error: [corpus] missing period\n"),
+    "synth_nul_database": ("synth --spec nul.ini --seed 1 --out c", 2, None,
+                           "error: database and task names must not hold NUL\n"),
+    "synth_cohort_named_twice": ("synth --spec twice.ini --seed 1 --out c", 2, None,
+                                 "error: [cohort  patient] names cohort 'patient', "
+                                 "which an earlier section already named\n"),
+    "synth_ambiguous_ground_truth": ("synth --spec ambiguous.ini --seed 1 --out c", 2, None,
+                                     "error: seed 15011141628560312956: sampling step 6 "
+                                     "crosses threshold 3; ground truth would be ambiguous\n"),
 }
 
 
@@ -550,6 +553,8 @@ def test_command_line_contract(contract_inputs, capsys, argv, code, stdout_sha25
         return
     # a refused command line writes nothing: no stdout, and no file at --out
     assert out == ""
+    if argv.startswith("synth "):  # synth's own --out names a directory
+        assert not Path(argv.split()[-1]).exists()
     assert main([*argv.split(), "--out", "out.txt"]) == code
     assert capsys.readouterr() == ("", stderr)
     assert not Path("out.txt").exists()
@@ -592,19 +597,6 @@ def test_out_in_a_missing_directory_exits_two(tmp_path, capsys, command):
     assert not target.parent.exists()
 
 
-def test_synth_refuses_two_sections_naming_one_cohort(tmp_path, capsys):
-    # the section name is stripped: [cohort  patient] names cohort patient again
-    second = CORPUS_INI[CORPUS_INI.index("[cohort patient]"):]
-    spec = tmp_path / "corpus.ini"
-    spec.write_text(CORPUS_INI + "\n" + second.replace("[cohort patient]", "[cohort  patient]")
-                    .replace("files = 4", "files = 1"), encoding="utf-8")
-    out = tmp_path / "corpus"
-    assert main(["synth", "--spec", str(spec), "--seed", "1", "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", "error: [cohort  patient] names cohort 'patient', "
-                                       "which an earlier section already named\n")
-    assert not out.exists()
-
-
 def run_cli_in_fresh_interpreter(prelude, argv):
     # a forked child that got back into the CLI would write to the real
     # stdout, which only a separate process shows
@@ -633,9 +625,10 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     to = ["--out", str(tmp_path / "output")]
     synth = {"penair.synth", "hashlib", "configparser"}
     # penair's value classes need neither dataclasses (nor its inspect) nor
-    # typing; synth's spec classes are dataclasses. Under -S no site module
-    # loads typing first, so a command that loaded it would show here
-    only_synth = synth | {"dataclasses", "inspect", "typing"}
+    # typing. Under -S no site module loads typing first, so a command that
+    # loaded it would show here
+    never = {"dataclasses", "inspect", "typing"}
+    only_synth = synth | never
     single = only_synth | {"penair.stats", "pickle"}  # a one-recording command
     # json loads where a recording is parsed, for ingest's JSON scanner
     runs = {  # command: (argv, modules it loads, modules it must not load)
@@ -652,8 +645,9 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
                       only_synth | {"penair.stats", "json"}),
         "compare": (["compare", str(manifest), "--cohort-a", "control", "--cohort-b", "patient",
                      *to], {"penair.stats", "pickle"}, only_synth | {"json"}),
+        # two workers: synth forks its generators, and no recording is parsed
         "synth": (["synth", "--spec", str(tmp_path / "corpus.ini"), "--seed", "1",
-                   "--out", str(tmp_path / "again")], synth | {"dataclasses"}, {"json"}),
+                   "--out", str(tmp_path / "again")], synth | {"pickle"}, never | {"json"}),
     }
     # what a bare interpreter loads is not penair's doing
     bare = set(subprocess.run([sys.executable, "-S", "-c",
@@ -665,31 +659,62 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         assert not refused & (loaded - bare), command
 
 
+def dying_worker(share):
+    """A prelude under which cli.<share> exits with status 7 in a forked worker."""
+    return (f"real = cli.{share}\n"
+            "def dying(*args):\n"
+            "    if os.getpid() != parent:\n"
+            "        os._exit(7)\n"
+            "    return real(*args)\n"
+            f"cli.{share} = dying")
+
+
+def buggy_worker(share):
+    """A prelude under which cli.<share> raises ZeroDivisionError, naming the
+    process it ran in."""
+    return ("def buggy(*args):\n"
+            "    where = 'child' if os.getpid() != parent else 'parent'\n"
+            "    raise ZeroDivisionError('boom in ' + where)\n"
+            f"cli.{share} = buggy")
+
+
+def synth_argv(tmp_path):
+    spec = write_session(tmp_path, "corpus.ini", CORPUS_INI)
+    return ["synth", "--spec", str(spec), "--seed", "1", "--out", str(tmp_path / "corpus")]
+
+
 def test_worker_that_dies_without_result_fails_the_run(tmp_path):
     manifest = make_corpus(tmp_path)
-    prelude = ("real = cli._reduce_files\n"
-               "def dying(*args):\n"
-               "    if os.getpid() != parent:\n"
-               "        os._exit(7)\n"
-               "    return real(*args)\n"
-               "cli._reduce_files = dying")
-    done = run_cli_in_fresh_interpreter(prelude, ["features", str(manifest)])
+    done = run_cli_in_fresh_interpreter(dying_worker("_reduce_files"), ["features", str(manifest)])
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "error: worker process exited with status 7 before sending its results\n"
 
 
+def test_synth_worker_that_dies_without_result_writes_nothing(tmp_path):
+    done = run_cli_in_fresh_interpreter(dying_worker("_synth_texts"), synth_argv(tmp_path))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: worker process exited with status 7 before sending its results\n"
+    assert not (tmp_path / "corpus").exists()
+
+
 def test_worker_bug_reaches_parent_and_no_table_is_printed(tmp_path):
     manifest = make_corpus(tmp_path)
-    prelude = ("def buggy(*args):\n"
-               "    where = 'child' if os.getpid() != parent else 'parent'\n"
-               "    raise ZeroDivisionError('boom in ' + where)\n"
-               "cli._reduce_files = buggy")
-    done = run_cli_in_fresh_interpreter(prelude, ["features", str(manifest)])
+    done = run_cli_in_fresh_interpreter(buggy_worker("_reduce_files"), ["features", str(manifest)])
     assert done.returncode == 1
     assert done.stdout == ""
     assert "ZeroDivisionError: boom in child" in done.stderr
     assert "worker process failed" in done.stderr
+
+
+def test_synth_worker_bug_reaches_parent_and_nothing_is_written(tmp_path):
+    done = run_cli_in_fresh_interpreter(buggy_worker("_synth_texts"), synth_argv(tmp_path))
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "ZeroDivisionError: boom in child" in done.stderr
+    assert "worker process failed" in done.stderr
+    assert not (tmp_path / "corpus").exists()
 
 
 LONG_INI = """

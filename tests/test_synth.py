@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -394,6 +393,8 @@ def test_cohort_name_keeps_its_file_names_within_255_bytes():
 
 
 def test_carriage_return_in_a_label_survives_the_manifest(tmp_path):
-    odd = dataclasses.replace(small_corpus_spec(), database="a\rb", task="c\r\nd")
+    small = small_corpus_spec()
+    odd = CorpusSpec(small.nominal_period, small.jitter, small.cohorts, database="a\rb",
+                     task="c\r\nd")
     records = read_manifest(generate_corpus(odd, tmp_path / "c", master_seed=2))
     assert {(r.database, r.task) for r in records} == {("a\rb", "c\r\nd")}

@@ -2,14 +2,18 @@
 
 A change to how synth draws its random numbers must leave these corpora
 byte-identical. The jitter = 0 cases matter: a zero-width step draw still
-consumes generator output and can be rejected and redrawn. The module does
-not import pytest, so ``test_corpus_digests(pathlib.Path(tmpdir))`` also runs
-under an interpreter that has no pytest.
+consumes generator output and can be rejected and redrawn. ``penair synth``
+must write the same bytes whether it generates in this process or in forked
+workers. The module does not import pytest, so each test, called with a
+``pathlib.Path`` of an empty directory, also runs under an interpreter that
+has no pytest.
 """
 
 import hashlib
+import io
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
-from penair import generate_corpus, load_corpus_spec
+from penair import SynthSpecError, cli, file_seed, generate_corpus, load_corpus_spec, synth
 
 SPEC = """
 [corpus]
@@ -70,9 +74,72 @@ GOLDEN = {
 }
 
 
+def digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
 def test_corpus_digests(tmp_path):
     for (period, jitter, seed), expected in GOLDEN.items():
         out = tmp_path / f"p{period}_j{jitter}_s{seed}"
         generate_corpus(load_corpus_spec(SPEC.format(period=period, jitter=jitter)), out, seed)
-        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-        assert digests == expected, (period, jitter, seed)
+        assert digests(out) == expected, (period, jitter, seed)
+
+
+@contextmanager
+def usable_cpus(workers):
+    """cli._usable_cpus() returns ``workers`` inside; None keeps the real count."""
+    real = cli._usable_cpus
+    if workers is not None:
+        cli._usable_cpus = lambda: workers
+    try:
+        yield
+    finally:
+        cli._usable_cpus = real
+
+
+def run_synth(spec_path, seed, out):
+    """cli.main's exit code, stdout and stderr for one synth command line."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli.main(["synth", "--spec", str(spec_path), "--seed", str(seed),
+                         "--out", str(out)])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def test_cli_writes_the_same_corpus_at_any_worker_count(tmp_path):
+    spec_path = tmp_path / "spec.ini"
+    for (period, jitter, seed), expected in GOLDEN.items():
+        spec_path.write_text(SPEC.format(period=period, jitter=jitter), encoding="utf-8")
+        for workers in (None, 1, 2, 3):
+            out = tmp_path / f"p{period}_j{jitter}_s{seed}_w{workers}"
+            with usable_cpus(workers):
+                assert run_synth(spec_path, seed, out) == (0, f"{out / 'manifest.csv'}\n", "")
+            assert digests(out) == expected, (period, jitter, seed, workers)
+
+
+def test_cli_refuses_a_corpus_when_one_member_fails(tmp_path):
+    # control_001 is the first member of worker 1's share at two and at three
+    # workers. Refused alone, or with patient_000 of worker 0's share, which
+    # comes later in corpus order, its error is the one reported, and nothing
+    # is written
+    first = file_seed(1, "control:1:session")
+    real = synth.generate_session
+    spec_path = tmp_path / "spec.ini"
+    spec_path.write_text(SPEC.format(period=3, jitter=0), encoding="utf-8")
+    message = f"error: seed {first}: refused\n"
+    for refused in ({first}, {first, file_seed(1, "patient:0:session")}):
+
+        def refuse(spec):
+            if spec.seed in refused:
+                raise SynthSpecError(f"seed {spec.seed}: refused")
+            return real(spec)
+
+        synth.generate_session = refuse
+        try:
+            for workers in (1, 2, 3):
+                out = tmp_path / f"w{workers}"
+                with usable_cpus(workers):
+                    assert run_synth(spec_path, 1, out) == (2, "", message)
+                assert not out.exists(), workers
+        finally:
+            synth.generate_session = real
