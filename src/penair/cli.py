@@ -196,48 +196,36 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _until_error(step, items) -> list:
-    """``step(item)`` for each item, in order. At the first PenAirError or
-    OSError it stops and returns that exception as the last entry."""
+def _until_error(step, items, context) -> list:
+    """``step(*context, item)`` for each item, in order. At the first
+    PenAirError or OSError it stops and returns that exception as the last entry."""
     results = []
     for item in items:
         try:
-            results.append(step(item))
+            results.append(step(*context, item))
         except (PenAirError, OSError) as exc:
             results.append(exc)
             break
     return results
 
 
-def _reduce_files(records, opts: ParseOptions, seg_cfg, policy) -> list:
-    """read_session -> segment -> feature_vector for each record, in order,
-    as ``_until_error`` returns them: ``(warnings, vector)`` per record."""
-
-    def reduce(record):
-        stream = read_session(record.path, opts)
-        return stream.warnings, feature_vector(segment(stream, seg_cfg), policy, record)
-
-    return _until_error(reduce, records)
+def _reduce_file(opts: ParseOptions, seg_cfg, policy, record):
+    """read_session -> segment -> feature_vector of one manifest record:
+    ``(warnings, vector)``."""
+    stream = read_session(record.path, opts)
+    return stream.warnings, feature_vector(segment(stream, seg_cfg), policy, record)
 
 
-def _synth_texts(members, spec, master_seed: int) -> list:
-    """The recording text of each synth corpus member, in order, as
-    ``_until_error`` returns them."""
-    from .synth import member_text
-
-    return _until_error(lambda member: member_text(spec, master_seed, member), members)
-
-
-def _fan_out(work, items, context) -> list:
-    """``work(share, *context)`` on each share ``items[w::workers]`` in one
-    forked child per usable CPU, merged back into the order of ``items``;
-    entries after a share's exception stay None. With one usable CPU, or one
-    item, ``work(items, *context)`` runs in this process. Every child is read
-    and reaped before any is judged: one that exited without sending raises
-    ChildProcessError, one that hit a bug its RuntimeError."""
+def _fan_out(step, items, context) -> list:
+    """``step(*context, item)`` on each item, each share ``items[w::workers]``
+    in one forked child per usable CPU, as ``_until_error`` runs them, merged
+    back into the order of ``items``; entries after a share's exception stay
+    None. With one usable CPU, or one item, every item runs in this process.
+    Every child is read and reaped before any is judged: one that exited
+    without sending raises ChildProcessError, one that hit a bug its RuntimeError."""
     workers = min(len(items), _usable_cpus())
     if workers < 2:
-        return work(items, *context)
+        return _until_error(step, items, context)
     # raw fork, not a multiprocessing pool: the CLI runs no threads, and a
     # pool's import and start-up ate most of the saving when measured
     import pickle  # before the fork, so the children inherit it loaded
@@ -254,7 +242,7 @@ def _fan_out(work, items, context) -> list:
                 try:
                     os.close(fds[0])
                     try:
-                        result = work(items[w::workers], *context)
+                        result = _until_error(step, items[w::workers], context)
                     except Exception:  # a bug: the parent raises it with this traceback
                         import traceback
 
@@ -296,7 +284,7 @@ def _collect_vectors(manifest_path: str, args, cfg: RunConfig):
     records = read_manifest(manifest_path)
     context = (_parse_options(args), cfg.segmentation_config(), cfg.anomaly_policy())
     vectors = []
-    for record, result in zip(records, _fan_out(_reduce_files, records, context)):
+    for record, result in zip(records, _fan_out(_reduce_file, records, context)):
         if isinstance(result, ParseError) and result.line is not None:
             # a row error names its line, not its file: add it, as WARN lines do
             raise ParseError(f"{record.path}: {result}") from result
@@ -381,10 +369,10 @@ def _number(x: float) -> str:
 
 
 def _cmd_synth(args, cfg: None) -> str:
-    from .synth import corpus_members, read_corpus_spec, write_corpus
+    from .synth import corpus_members, member_text, read_corpus_spec, write_corpus
 
     spec = read_corpus_spec(args.spec)
-    texts = _fan_out(_synth_texts, corpus_members(spec), (spec, args.seed))
+    texts = _fan_out(member_text, corpus_members(spec), (spec, args.seed))
     # a member's text does not depend on which process drew it, so the first
     # refusal in corpus order is the one a one-process run raises
     if refused := next((text for text in texts if not isinstance(text, str)), None):

@@ -232,79 +232,6 @@ _FIELD_CHARS = b"0123456789-"
 _COMMAS = bytes.maketrans(b" \n", b",,")
 
 
-class _ColumnBuilder:
-    """Validates blocks of rows and appends them to per-column lists.
-
-    A block that _scanned_columns does not read, or whose rows fail any
-    check, is read again one line at a time, so the first faulty line in the
-    file raises, or a duplicate-timestamp row is dropped with a warning.
-    """
-
-    def __init__(self):
-        self.width: int | None = None
-        self.last_t: int | None = None
-        self.lines = 0  # lines taken so far: the next one is line lines + 1
-        self.columns: list[list[int]] = [[] for _ in COLUMNS]
-        self.warnings: list[ParseWarning] = []
-
-    def feed(self, text: str) -> None:
-        """Take ``text``, the next lines of the file, a block at a time."""
-        pos = 0
-        while pos < len(text):
-            # cut just after a "\n", so the blocks' splitlines() adds up to the text's
-            end = text.find("\n", pos + _BLOCK_CHARS) + 1 or len(text)
-            chunk = text[pos:end]
-            block = self._block_columns(chunk)
-            if block:  # its lines are rows, one each
-                for column, values in zip(self.columns, block):
-                    column.extend(values)
-                self.width, self.last_t = len(block), block[2][-1]
-                self.lines += len(block[2])
-            else:  # read row by row, so every diagnostic is the row reader's
-                for line in chunk.splitlines():
-                    self.lines += 1
-                    if fields := line.split():
-                        self._take(line, fields)
-            pos = end
-
-    def _block_columns(self, chunk: str) -> list[list[int]] | None:
-        # the scanned columns of chunk if it is a block of this file's width
-        # whose rows keep the rules after last_t, else None
-        block = _scanned_columns(chunk, self.width)
-        if block is None or len(block) not in (4, 7):
-            return None
-        pressure = block[6] if len(block) == 7 else ()
-        return block if _follows_rules(block[2], block[3], pressure, self.last_t) else None
-
-    def _take(self, raw: str, fields: list[str]) -> None:
-        # line ``lines``, split into ``fields``: appended if it breaks no rule,
-        # else diagnosed, each check in a row-by-row reader's order
-        lineno = self.lines
-        if self.width is None:
-            if len(fields) not in (4, 7):
-                raise ParseError(f"expected 4 or 7 columns, got {len(fields)}", lineno)
-        elif len(fields) != self.width:
-            raise ParseError(f"expected {self.width} columns, got {len(fields)}", lineno)
-        values = []
-        for field in fields:
-            try:
-                values.append(int(field))
-            except ValueError:
-                raise ParseError(_bad_field(field, raw), lineno) from None
-        t = values[2]
-        pressure = values[6] if len(values) == 7 else 0
-        fault = _row_fault(self.last_t, t, values[3], pressure)
-        if fault is None:
-            for column, value in zip(self.columns, values):
-                column.append(value)
-            self.width, self.last_t = len(values), t
-            return
-        error, message = fault
-        if error is not TimestampOrderError or t < self.last_t:
-            raise error(message, lineno)
-        self.warnings.append(ParseWarning(lineno, f"duplicate timestamp {t} dropped"))
-
-
 def _scanned_columns(chunk: str, width: int | None = None) -> list[list[int]] | None:
     """The columns of ``chunk``, lines that each end in ``"\\n"`` but maybe
     the last, read by the JSON scanner if every line holds ``width`` fields
@@ -364,18 +291,58 @@ def parse_session(
     a file is a ParseError naming ``source_id``.
     """
     opts = options or ParseOptions()
-    builder = _ColumnBuilder()
-    builder.feed(text)
-    if opts.derive_status_from_pressure and builder.width == 4:
+    width = last_t = None
+    lineno = 0  # lines read so far: the next one is line lineno + 1
+    columns: list[list[int]] = [[] for _ in COLUMNS]
+    warnings: list[ParseWarning] = []
+    pos = 0
+    while pos < len(text):
+        # cut just after a "\n", so the blocks' splitlines() adds up to the text's
+        end = text.find("\n", pos + _BLOCK_CHARS) + 1 or len(text)
+        chunk, pos = text[pos:end], end
+        block = _scanned_columns(chunk, width)
+        if block is not None and len(block) in (4, 7) and _follows_rules(
+                block[2], block[3], block[6] if len(block) == 7 else (), last_t):
+            for column, values in zip(columns, block):  # its lines are rows, one each
+                column.extend(values)
+            width, last_t = len(block), block[2][-1]
+            lineno += len(block[2])
+            continue
+        # read row by row, so every diagnostic is the row reader's, in its order
+        for line in chunk.splitlines():
+            lineno += 1
+            if not (fields := line.split()):
+                continue
+            if width is None:
+                if len(fields) not in (4, 7):
+                    raise ParseError(f"expected 4 or 7 columns, got {len(fields)}", lineno)
+            elif len(fields) != width:
+                raise ParseError(f"expected {width} columns, got {len(fields)}", lineno)
+            values = []
+            for field in fields:
+                try:
+                    values.append(int(field))
+                except ValueError:
+                    raise ParseError(_bad_field(field, line), lineno) from None
+            t = values[2]
+            fault = _row_fault(last_t, t, values[3], values[6] if len(values) == 7 else 0)
+            if fault is None:
+                for column, value in zip(columns, values):
+                    column.append(value)
+                width, last_t = len(values), t
+            elif fault[0] is TimestampOrderError and t == last_t:
+                warnings.append(ParseWarning(lineno, f"duplicate timestamp {t} dropped"))
+            else:
+                raise fault[0](fault[1], lineno)
+    if opts.derive_status_from_pressure and width == 4:
         raise ParseError(f"{source_id}: deriving status needs the pressure column; "
                          "the file has 4 columns")
-    columns = []
-    for column in builder.columns:  # one column's list and tuple alive at a time
-        columns.append(tuple(column) or None)
+    for i, column in enumerate(columns):  # one column's list and tuple alive at a time
+        columns[i] = tuple(column) or None
         column.clear()
     if opts.derive_status_from_pressure and columns[6]:  # an empty file has none
         columns[3] = tuple([1 if p > 0 else 0 for p in columns[6]])
-    return SampleStream._finish(columns, source_id, builder.warnings)
+    return SampleStream._finish(columns, source_id, warnings)
 
 
 def read_text(path: Path, error: type[Exception], newline: str | None = None) -> str:

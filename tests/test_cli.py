@@ -229,18 +229,6 @@ def test_aggregate_table(tmp_path, capsys):
     assert "%" in lines[1]
 
 
-def test_aggregate_empty_manifest_exits_three(tmp_path, capsys):
-    manifest = tmp_path / "manifest.csv"
-    manifest.write_text("path,database,task,subject,cohort\n", encoding="utf-8")
-    assert main(["aggregate", str(manifest)]) == 3
-
-
-def test_aggregate_bad_manifest_exits_two(tmp_path, capsys):
-    manifest = tmp_path / "manifest.csv"
-    manifest.write_text("wrong,header,entirely,x,y\n", encoding="utf-8")
-    assert main(["aggregate", str(manifest)]) == 2
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_manifest_csv_faults_exit_two_naming_the_line(tmp_path, capsys, monkeypatch, workers):
     # csv refuses an over-long field, and Python 3.10's csv a NUL, while 3.11's
@@ -306,14 +294,6 @@ def test_compare_exact_limit_switches_method(tmp_path, capsys):
     args = cli.build_parser().parse_args(["compare", "m.csv", "--cohort-a", "a",
                                           "--cohort-b", "b"])
     assert args.exact_limit == RunConfig.exact_limit == stats.DEFAULT_EXACT_LIMIT
-
-
-def test_compare_unknown_cohort_exits_three(tmp_path, capsys):
-    manifest = make_corpus(tmp_path)
-    capsys.readouterr()
-    assert main(["compare", str(manifest), "--cohort-a", "control",
-                 "--cohort-b", "ghost"]) == 3
-    assert "ghost" in capsys.readouterr().err
 
 
 def test_compare_names_excluded_files_of_compared_cohorts_only(tmp_path, capsys):
@@ -418,6 +398,8 @@ CONTRACT_FILES = {  # beside the corpus_with_warnings corpus in corpus/
     # 4, 3 and 5 fields: as many as three rows of 4 hold, but line 2 is short
     "balanced.svc": "0 0 1 1\n0 0 2\n1 0 0 3 1\n",
     "balanced.csv": manifest_text("balanced.svc,db,copy,s0,control"),
+    "empty.csv": manifest_text(),  # the header alone: a valid manifest of no files
+    "header.csv": "wrong,header,entirely,x,y\n",
     "no_period.ini": "[corpus]\njitter = 3\n",
     "nul.ini": CORPUS_INI.replace("database = demo", "database = de\0mo"),
     # the stripped section name: [cohort  patient] names cohort patient again
@@ -467,6 +449,10 @@ CONTRACT = {
                   "39a5e03486e90a3db683d68bdce968b59f4435fb8ec8b5479e3a6655f0a76436", WARN_3),
     "compare": (f"compare {CORPUS} {COHORTS}", 0,
                 "76d88d35390e091ec76a2b74b0256b55db94064e88d1190106dbaefe4f31cbe7", WARN_3),
+    # every file of CORPUS is in database demo, so the filter keeps them all
+    "compare_database": (f"compare {CORPUS} {COHORTS} --database demo", 0,
+                         "76d88d35390e091ec76a2b74b0256b55db94064e88d1190106dbaefe4f31cbe7",
+                         WARN_3),
     "compare_md": (f"compare {CORPUS} {COHORTS} --format md", 0,
                    "88f87d96f872375b09667a6163c03c5e0a033688900ece353ef311be77d0a05c", WARN_3),
     "render": (f"render {RECORDING}", 0,
@@ -508,6 +494,17 @@ CONTRACT = {
                                        EXCLUDED.format("b", "t2") * 2 + "error: task 't2': "
                                        "cohort 'b' is empty after anomaly exclusion: "
                                        "all 2 of its files are anomalous\n"),
+    "aggregate_empty_manifest": ("aggregate empty.csv", 3, None,
+                                 "error: manifest lists no files\n"),
+    "compare_unknown_cohort": (f"compare {CORPUS} --cohort-a control --cohort-b ghost", 3, None,
+                               WARN_3 + "error: no files for cohort 'ghost'\n"),
+    # cohort control has files, but none in database absent
+    "compare_database_absent": (f"compare {CORPUS} {COHORTS} --database absent", 3, None,
+                                WARN_3 + "error: no files for cohort 'control' "
+                                "in database 'absent'\n"),
+    "aggregate_bad_header": ("aggregate header.csv", 2, None,
+                             "error: bad manifest header 'wrong,header,entirely,x,y'; "
+                             "expected 'path,database,task,subject,cohort'\n"),
     "parse_malformed": ("parse zero.svc", 2, None,
                         "error: line 1: non-integer field in '0 0 zero 1'\n"),
     "parse_missing": ("parse absent.svc", 2, None,
@@ -659,23 +656,30 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         assert not refused & (loaded - bare), command
 
 
-def dying_worker(share):
-    """A prelude under which cli.<share> exits with status 7 in a forked worker."""
-    return (f"real = cli.{share}\n"
+def dying_worker(target):
+    """A prelude under which the function ``target`` (module.name) exits with
+    status 7 in a forked worker."""
+    return (f"import {target.rpartition('.')[0]}\nreal = {target}\n"
             "def dying(*args):\n"
             "    if os.getpid() != parent:\n"
             "        os._exit(7)\n"
             "    return real(*args)\n"
-            f"cli.{share} = dying")
+            f"{target} = dying")
 
 
-def buggy_worker(share):
-    """A prelude under which cli.<share> raises ZeroDivisionError, naming the
-    process it ran in."""
-    return ("def buggy(*args):\n"
+def buggy_worker(target):
+    """A prelude under which the function ``target`` (module.name) raises
+    ZeroDivisionError, naming the process it ran in."""
+    return (f"import {target.rpartition('.')[0]}\n"
+            "def buggy(*args):\n"
             "    where = 'child' if os.getpid() != parent else 'parent'\n"
             "    raise ZeroDivisionError('boom in ' + where)\n"
-            f"cli.{share} = buggy")
+            f"{target} = buggy")
+
+
+# what each worker runs per item: features reads a file, and synth, which
+# imports member_text when it runs, generates one
+REDUCE_FILE, MEMBER_TEXT = "penair.cli._reduce_file", "penair.synth.member_text"
 
 
 def synth_argv(tmp_path):
@@ -685,14 +689,14 @@ def synth_argv(tmp_path):
 
 def test_worker_that_dies_without_result_fails_the_run(tmp_path):
     manifest = make_corpus(tmp_path)
-    done = run_cli_in_fresh_interpreter(dying_worker("_reduce_files"), ["features", str(manifest)])
+    done = run_cli_in_fresh_interpreter(dying_worker(REDUCE_FILE), ["features", str(manifest)])
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "error: worker process exited with status 7 before sending its results\n"
 
 
 def test_synth_worker_that_dies_without_result_writes_nothing(tmp_path):
-    done = run_cli_in_fresh_interpreter(dying_worker("_synth_texts"), synth_argv(tmp_path))
+    done = run_cli_in_fresh_interpreter(dying_worker(MEMBER_TEXT), synth_argv(tmp_path))
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "error: worker process exited with status 7 before sending its results\n"
@@ -701,7 +705,7 @@ def test_synth_worker_that_dies_without_result_writes_nothing(tmp_path):
 
 def test_worker_bug_reaches_parent_and_no_table_is_printed(tmp_path):
     manifest = make_corpus(tmp_path)
-    done = run_cli_in_fresh_interpreter(buggy_worker("_reduce_files"), ["features", str(manifest)])
+    done = run_cli_in_fresh_interpreter(buggy_worker(REDUCE_FILE), ["features", str(manifest)])
     assert done.returncode == 1
     assert done.stdout == ""
     assert "ZeroDivisionError: boom in child" in done.stderr
@@ -709,7 +713,7 @@ def test_worker_bug_reaches_parent_and_no_table_is_printed(tmp_path):
 
 
 def test_synth_worker_bug_reaches_parent_and_nothing_is_written(tmp_path):
-    done = run_cli_in_fresh_interpreter(buggy_worker("_synth_texts"), synth_argv(tmp_path))
+    done = run_cli_in_fresh_interpreter(buggy_worker(MEMBER_TEXT), synth_argv(tmp_path))
     assert done.returncode == 1
     assert done.stdout == ""
     assert "ZeroDivisionError: boom in child" in done.stderr
@@ -794,19 +798,19 @@ def test_manifest_fan_out_reaps_every_child_on_every_path(tmp_path, capsys, monk
     assert main(["features", str(broken)]) == 2
     assert capsys.readouterr().err == f"error: {bad}: line 3: non-integer field in '2 2 x 1'\n"
     no_child_left()
-    parent, real = os.getpid(), cli._reduce_files
+    parent, real = os.getpid(), cli._reduce_file
 
     def dying(*args):
         if os.getpid() != parent:
             os._exit(7)
         return real(*args)
 
-    monkeypatch.setattr(cli, "_reduce_files", dying)
+    monkeypatch.setattr(cli, "_reduce_file", dying)
     assert main(["features", str(manifest)]) == 2
     assert capsys.readouterr().err == (
         "error: worker process exited with status 7 before sending its results\n")
     no_child_left()
-    monkeypatch.setattr(cli, "_reduce_files", real)
+    monkeypatch.setattr(cli, "_reduce_file", real)
     forks, real_fork = [], os.fork
 
     def fork_once():  # the second fork fails, after the first child started
@@ -819,18 +823,6 @@ def test_manifest_fan_out_reaps_every_child_on_every_path(tmp_path, capsys, monk
     assert main(["features", str(manifest)]) == 2
     assert capsys.readouterr().err == "error: [Errno 11] Resource temporarily unavailable\n"
     no_child_left()
-
-
-def test_compare_database_filter(tmp_path, capsys):
-    manifest = make_corpus(tmp_path)
-    capsys.readouterr()
-    assert main(["compare", str(manifest), "--cohort-a", "control",
-                 "--cohort-b", "patient", "--database", "absent"]) == 3
-    # cohort control has files, but none in database absent
-    assert capsys.readouterr() == ("", "error: no files for cohort 'control' "
-                                       "in database 'absent'\n")
-    assert main(["compare", str(manifest), "--cohort-a", "control",
-                 "--cohort-b", "patient", "--database", "demo"]) == 0
 
 
 def test_render_svg(tmp_path, capsys):

@@ -390,8 +390,9 @@ def test_json_scanner_reads_exactly_the_writers_subset(chunk, rows):
     assert ingest._scanned_columns(chunk) == columns
 
 
-def refuse_to_read_a_line(builder, raw, fields):
-    raise AssertionError(f"read line by line: {raw!r}")
+def refuse_to_read_a_line(last_t, t, status, pressure):
+    # only the row reader calls _row_fault during a parse
+    raise AssertionError(f"read line by line: the row of timestamp {t}")
 
 
 @pytest.mark.parametrize("final_newline", [True, False])
@@ -406,7 +407,7 @@ def test_canonical_text_never_leaves_the_scanner(final_newline, monkeypatch):
     assert min(len(seven), len(four)) > 3 * ingest._BLOCK_CHARS
     if not final_newline:
         seven, four = seven.removesuffix("\n"), four.removesuffix("\n")
-    monkeypatch.setattr(ingest._ColumnBuilder, "_take", refuse_to_read_a_line)
+    monkeypatch.setattr(ingest, "_row_fault", refuse_to_read_a_line)
     assert parse_session(seven) == stream
     assert parse_session(four).t == tuple(range(n))
 
