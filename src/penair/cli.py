@@ -2,17 +2,18 @@
 
 Subcommands: parse, segment, features, aggregate, compare, synth, render.
 Each handler returns its output text (a table, an SVG, or the manifest path
-synth wrote to its --out DIR); main alone writes it, to --out PATH or else to
-stdout. WARN and error lines go to stderr. Exit codes:
-0 success, 1 usage error, 2 parse/format error, 3 empty-cohort or
-degenerate-data error. Manifest commands read their files, and synth
-generates its corpus's files, in one forked process per usable CPU; output,
-warnings and the error reported keep manifest order, and a corpus is the same
-bytes at any count. The single-file commands (parse, segment, render) parse
-their recording in this process. A command imports only the modules it runs:
-synth and the rank tests load in their handlers, pickle only when forking. No
-command loads dataclasses or typing: the value classes are named tuples and
-penair.frozen classes, which cost nothing to import beyond their definitions.
+synth wrote to its --out DIR); main alone writes it, the same UTF-8 bytes to
+--out PATH or else to stdout under any locale, and main alone maps an error
+to its stderr line and exit code: 0 success, 1 usage error, 2 parse/format
+error, 3 empty-cohort or degenerate-data error. WARN lines go to stderr.
+Manifest commands read their files, and synth generates its corpus's files,
+in one forked process per usable CPU; output, warnings and the error
+reported keep manifest order, and a corpus is the same bytes at any count.
+The single-file commands (parse, segment, render) parse their recording in
+this process. A command imports only the modules it runs: synth and the rank
+tests load in their handlers, pickle only when forking. No command loads
+dataclasses or typing: the value classes are named tuples and penair.frozen
+classes, which cost nothing to import beyond their definitions.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import gc
 import os
 import sys
 from fractions import Fraction
-from itertools import islice
-from operator import ne
 from pathlib import Path
 
 from .errors import (
@@ -50,7 +49,7 @@ from .report import (
     render_time_table,
     render_trajectories,
 )
-from .segmentation import SegmentationConfig, segment
+from .segmentation import SegmentationConfig, segment, status_changes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -138,18 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args) -> RunConfig:
-    return RunConfig(
-        gap_factor=args.gap_factor,
-        min_gap_ticks=args.min_gap_ticks,
-        anomaly_threshold=args.anomaly_threshold,
-        exact_limit=args.exact_limit,
-        table_format=args.table_format,
-    )
-
-
-def _parse_options(args) -> ParseOptions:
-    return ParseOptions(derive_status_from_pressure=args.derive_status_from_pressure)
+def _from_flags(cls, args):
+    """The config class ``cls`` built from the flags that carry its field names."""
+    return cls(**{name: getattr(args, name) for name in cls._fields})
 
 
 def _print_warnings(warnings: tuple[ParseWarning, ...], shown_path: str) -> None:
@@ -159,7 +149,7 @@ def _print_warnings(warnings: tuple[ParseWarning, ...], shown_path: str) -> None
 
 def _read_recording(args) -> SampleStream:
     """read_session of the single-file commands, its warnings printed."""
-    stream = read_session(args.file, _parse_options(args))
+    stream = read_session(args.file, _from_flags(ParseOptions, args))
     _print_warnings(stream.warnings, args.file)
     return stream
 
@@ -170,7 +160,7 @@ def _cmd_parse(args, cfg: RunConfig) -> str:
     header = ("source", "n_samples", "t_first", "t_last", "span",
               "status_transitions", "pressure_min", "pressure_max", "warnings")
     row = (args.file, len(t), t[0], t[-1], t[-1] - t[0],
-           sum(map(ne, status, islice(status, 1, None))), min(pressure), max(pressure),
+           len(status_changes(status)), min(pressure), max(pressure),
            len(stream.warnings))
     return format_table(header, [tuple(map(str, row))], cfg.table_format)
 
@@ -196,36 +186,41 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _until_error(step, items, context) -> list:
-    """``step(*context, item)`` for each item, in order. At the first
-    PenAirError or OSError it stops and returns that exception as the last entry."""
-    results = []
-    for item in items:
-        try:
-            results.append(step(*context, item))
-        except (PenAirError, OSError) as exc:
-            results.append(exc)
-            break
-    return results
-
-
 def _reduce_file(opts: ParseOptions, seg_cfg, policy, record):
     """read_session -> segment -> feature_vector of one manifest record:
-    ``(warnings, vector)``."""
-    stream = read_session(record.path, opts)
+    ``(warnings, vector)``. A row's ParseError names its line, not its file:
+    it is raised again with the path in front, as WARN lines have it."""
+    try:
+        stream = read_session(record.path, opts)
+    except ParseError as exc:
+        if exc.line is None:
+            raise
+        raise ParseError(f"{record.path}: {exc}") from exc
     return stream.warnings, feature_vector(segment(stream, seg_cfg), policy, record)
 
 
-def _fan_out(step, items, context) -> list:
-    """``step(*context, item)`` on each item, each share ``items[w::workers]``
-    in one forked child per usable CPU, as ``_until_error`` runs them, merged
-    back into the order of ``items``; entries after a share's exception stay
-    None. With one usable CPU, or one item, every item runs in this process.
-    Every child is read and reaped before any is judged: one that exited
-    without sending raises ChildProcessError, one that hit a bug its RuntimeError."""
+def _fan_out(step, items, context) -> tuple[list, Exception | None]:
+    """``step(*context, item)`` on each item up to the first that raises
+    PenAirError or OSError: ``(results, failure)``, the results of the items
+    before it and its exception, else every result and None. Each share
+    ``items[w::workers]`` runs in one forked child per usable CPU and stops at
+    its own first failure; the earliest in item order is the one a run in this
+    process, as at one usable CPU or one item, stops at. Every child is read
+    and reaped before any is judged: one that exited without sending raises
+    ChildProcessError, one that hit a bug its RuntimeError."""
+
+    def run(share):
+        results = []
+        for item in share:
+            try:
+                results.append(step(*context, item))
+            except (PenAirError, OSError) as exc:
+                return results, exc
+        return results, None
+
     workers = min(len(items), _usable_cpus())
     if workers < 2:
-        return _until_error(step, items, context)
+        return run(items)
     # raw fork, not a multiprocessing pool: the CLI runs no threads, and a
     # pool's import and start-up ate most of the saving when measured
     import pickle  # before the fork, so the children inherit it loaded
@@ -242,7 +237,7 @@ def _fan_out(step, items, context) -> list:
                 try:
                     os.close(fds[0])
                     try:
-                        result = _until_error(step, items[w::workers], context)
+                        result = run(items[w::workers])
                     except Exception:  # a bug: the parent raises it with this traceback
                         import traceback
 
@@ -268,7 +263,7 @@ def _fan_out(step, items, context) -> list:
         with open(read_fd, "rb") as pipe:
             data = pipe.read()
         payloads.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data))
-    merged = [None] * len(items)
+    merged, stop, failure = [None] * len(items), len(items), None
     for w, (status, data) in enumerate(payloads):
         if status != 0:
             raise ChildProcessError(
@@ -276,24 +271,23 @@ def _fan_out(step, items, context) -> list:
         share = pickle.loads(data)
         if isinstance(share, RuntimeError):
             raise share
-        merged[w:w + workers * len(share):workers] = share
-    return merged
+        results, exc = share
+        at = w + workers * len(results)  # the share's next item: the one that failed, if any
+        merged[w:at:workers] = results
+        if exc is not None and at < stop:
+            stop, failure = at, exc
+    return merged[:stop], failure
 
 
 def _collect_vectors(manifest_path: str, args, cfg: RunConfig):
     records = read_manifest(manifest_path)
-    context = (_parse_options(args), cfg.segmentation_config(), cfg.anomaly_policy())
-    vectors = []
-    for record, result in zip(records, _fan_out(_reduce_file, records, context)):
-        if isinstance(result, ParseError) and result.line is not None:
-            # a row error names its line, not its file: add it, as WARN lines do
-            raise ParseError(f"{record.path}: {result}") from result
-        if isinstance(result, Exception):
-            raise result
-        warnings, vector = result
+    context = (_from_flags(ParseOptions, args), cfg.segmentation_config(), cfg.anomaly_policy())
+    results, failure = _fan_out(_reduce_file, records, context)
+    for record, (warnings, _) in zip(records, results):
         _print_warnings(warnings, str(record.path))
-        vectors.append(vector)
-    return vectors
+    if failure is not None:
+        raise failure
+    return [vector for _, vector in results]
 
 
 def _cmd_features(args, cfg: RunConfig) -> str:
@@ -372,10 +366,8 @@ def _cmd_synth(args, cfg: None) -> str:
     from .synth import corpus_members, member_text, read_corpus_spec, write_corpus
 
     spec = read_corpus_spec(args.spec)
-    texts = _fan_out(member_text, corpus_members(spec), (spec, args.seed))
-    # a member's text does not depend on which process drew it, so the first
-    # refusal in corpus order is the one a one-process run raises
-    if refused := next((text for text in texts if not isinstance(text, str)), None):
+    texts, refused = _fan_out(member_text, corpus_members(spec), (spec, args.seed))
+    if refused is not None:
         raise refused
     return f"{write_corpus(spec, texts, args.out_dir)}\n"
 
@@ -392,7 +384,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # raised by --help (0) and usage errors (1)
         return int(exc.code or 0)
     try:
-        cfg = None if args.command == "synth" else _run_config(args)
+        cfg = None if args.command == "synth" else _from_flags(RunConfig, args)
         if args.command == "compare" and args.cohort_a == args.cohort_b:
             raise ValueError(f"--cohort-a and --cohort-b both name cohort {args.cohort_a!r}")
     except ValueError as exc:
@@ -405,21 +397,20 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         text = args.handler(args, cfg)
+        # UTF-8 bytes whatever the locale; a stream without bytes (a StringIO) takes the text
         if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
+            Path(args.out).write_bytes(text.encode("utf-8"))
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text.encode("utf-8"))
         else:
             sys.stdout.write(text)
         return EXIT_OK
-    except (EmptyCohortError, DegenerateDataError, InsufficientDataError) as exc:
+    except (PenAirError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DEGENERATE
-    except (PenAirError, OSError) as exc:  # any other library error is a data problem
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_FORMAT
+        # an empty cohort or degenerate data is 3; any other library error is a data problem
+        degenerate = (EmptyCohortError, DegenerateDataError, InsufficientDataError)
+        return EXIT_DEGENERATE if isinstance(exc, degenerate) else EXIT_FORMAT
     finally:
         if was_enabled:
             gc.enable()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,8 +1,7 @@
 """Rendering: cohort time tables, p-value tables, and trajectory plots.
 
 All renderers are pure functions of their inputs (no timestamps, no locale),
-so identical inputs give byte-identical output. The SVG is written as text,
-byte-identical to the ElementTree serialisation of earlier releases.
+so identical inputs give byte-identical output. The SVG is written as text.
 """
 
 from __future__ import annotations

@@ -147,7 +147,7 @@ def segment(
     gaps = set(found)
     run_start = 0
     # a run of same-status samples ends at a gap or before a status change
-    for i in sorted(gaps.union(_status_changes(status))):
+    for i in sorted(gaps.union(status_changes(status))):
         # the run's span ends where the gap starts or where the next run starts
         end_t = t[i] if i in gaps else t[i + 1]
         strokes.append(Stroke(_STATUS_CLASS[status[run_start]], t[run_start], end_t,
@@ -161,7 +161,7 @@ def segment(
                                *class_totals((s.cls, s.start_t, s.end_t) for s in strokes))
 
 
-def _status_changes(status) -> list[int]:
+def status_changes(status) -> list[int]:
     """Each ``i`` whose sample's status differs from sample ``i + 1``'s:
     status is 0 or 1, so each change is one C search for the other value."""
     flags = bytes(status)

@@ -6,7 +6,6 @@ test, generator ground truth for segmentation) rather than re-deriving
 expected values from the code under test.
 """
 
-import itertools
 import os
 import random
 import subprocess
@@ -36,6 +35,8 @@ from penair import (
     serialize_session,
 )
 
+from oracles import enumerated_p
+
 S = StrokeClass.ON_SURFACE
 A = StrokeClass.IN_AIR_SHORT
 L = StrokeClass.IN_AIR_LONG
@@ -59,34 +60,6 @@ def test_reference_percentage_splits():
         for got, want in zip(computed, expected):
             assert abs(got - want) <= 0.1, (times, computed, expected)
     assert time.monotonic() - start < 1.0
-
-
-def enumerated_p(a, b):
-    # independent oracle: U by its pairwise-win definition, p by literally
-    # walking every assignment of the pooled values to the two groups
-    def u_of(xs, ys):
-        u = Fraction(0)
-        for x in xs:
-            for y in ys:
-                if x > y:
-                    u += 1
-                elif x == y:
-                    u += Fraction(1, 2)
-        return u
-
-    pooled = list(a) + list(b)
-    n_a = len(a)
-    mu = Fraction(n_a * len(b), 2)
-    observed = abs(u_of(a, b) - mu)
-    extreme = total = 0
-    for picked in itertools.combinations(range(len(pooled)), n_a):
-        chosen = set(picked)
-        side_a = [pooled[i] for i in picked]
-        side_b = [pooled[i] for i in range(len(pooled)) if i not in chosen]
-        total += 1
-        if abs(u_of(side_a, side_b) - mu) >= observed:
-            extreme += 1
-    return Fraction(extreme, total)
 
 
 def test_exact_p_matches_brute_force_enumeration():

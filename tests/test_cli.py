@@ -327,16 +327,19 @@ def test_compare_names_excluded_files_of_compared_cohorts_only(tmp_path, capsys)
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_manifest_errors_and_warnings_follow_manifest_order(tmp_path, capsys, monkeypatch,
                                                             workers):
-    # file 0 warns, file 1 is good, file 2 is malformed on line 3, file 3 is
-    # missing: file 0's warning, then file 2's error, and nothing of file 3
+    # file 0 warns, file 1 is good, file 2 is malformed on line 3, file 3
+    # warns and file 4 is missing: file 0's warning, then file 2's error, and
+    # nothing of files 3 and 4, though at 2 and 3 workers another share reads file 3
     monkeypatch.setattr(cli, "_usable_cpus", lambda: workers, raising=False)
     warn = write_session(tmp_path, "warn.svc", "0 0 0 1\n1 1 2 1\n2 2 2 1\n3 3 4 1\n")
     write_session(tmp_path, "good.svc")
     bad = write_session(tmp_path, "bad.svc", "0 0 0 1\n1 1 2 1\n2 2 x 1\n")
+    write_session(tmp_path, "warn2.svc", "0 0 0 1\n1 1 2 1\n2 2 2 1\n3 3 4 1\n")
     manifest = tmp_path / "manifest.csv"
     manifest.write_text(manifest_text("warn.svc,db,copy,s0,control", "good.svc,db,copy,s1,patient",
                                       "bad.svc,db,copy,s2,control",
-                                      "missing.svc,db,copy,s3,patient"), encoding="utf-8")
+                                      "warn2.svc,db,copy,s3,patient",
+                                      "missing.svc,db,copy,s4,patient"), encoding="utf-8")
     for argv in (["features", str(manifest)], ["aggregate", str(manifest)],
                  ["compare", str(manifest), "--cohort-a", "control", "--cohort-b", "patient"]):
         assert main(argv) == 2
@@ -569,6 +572,24 @@ def test_out_file_holds_the_bytes_stdout_would(contract_inputs, capsys, argv):
     assert to_stdout.out and Path("out.txt").read_bytes() == to_stdout.out.encode("utf-8")
 
 
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stdout_holds_the_utf8_bytes_of_out_under_any_io_encoding(tmp_path, encoding):
+    # a cohort label outside ASCII shows whether stdout took the stream's encoding
+    write_session(tmp_path)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(manifest_text("rec.svc,db,copy,s0,contr\u00f4le"), encoding="utf-8")
+    target = tmp_path / "out.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           "PYTHONIOENCODING": encoding}
+    argv = [sys.executable, "-S", "-m", "penair", "features", str(manifest)]
+    runs = [subprocess.run(command, capture_output=True, env=env, timeout=60)
+            for command in (argv, [*argv, "--out", str(target)])]
+    assert [(done.returncode, done.stderr) for done in runs] == [(0, b""), (0, b"")]
+    assert runs[1].stdout == b""
+    assert runs[0].stdout == target.read_bytes()
+    assert "contr\u00f4le".encode("utf-8") in runs[0].stdout
+
+
 def test_synth_prints_only_the_manifest_path(tmp_path, capsys):
     spec = tmp_path / "corpus.ini"
     spec.write_text(CORPUS_INI, encoding="utf-8")
@@ -601,18 +622,19 @@ def run_cli_in_fresh_interpreter(prelude, argv):
             f"cli._usable_cpus = lambda: 2\nsys.exit(cli.main({argv!r}))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     # -S: no site-packages, so a command that imported one would fail here
-    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
+    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          encoding="utf-8", env=env, timeout=60)
 
 
 def modules_loaded_by(tmp_path, argv):
     """Names in sys.modules once cli.main(argv) has run in a fresh interpreter."""
     listing = tmp_path / "modules.txt"
     prelude = ("import atexit\n"
-               f"atexit.register(lambda: open({str(listing)!r}, 'w').write(' '.join(sys.modules)))")
+               f"atexit.register(lambda: open({str(listing)!r}, 'w', encoding='utf-8')"
+               ".write(' '.join(sys.modules)))")
     done = run_cli_in_fresh_interpreter(prelude, argv)
     assert done.returncode == 0, done.stderr
-    return set(listing.read_text().split())
+    return set(listing.read_text(encoding="utf-8").split())
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
@@ -649,7 +671,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     # what a bare interpreter loads is not penair's doing
     bare = set(subprocess.run([sys.executable, "-S", "-c",
                                "import sys; print(' '.join(sys.modules))"],
-                              capture_output=True, text=True, check=True, timeout=60).stdout.split())
+                              capture_output=True, encoding="utf-8", check=True,
+                              timeout=60).stdout.split())
     for command, (argv, needed, refused) in runs.items():
         loaded = modules_loaded_by(tmp_path, argv)
         assert needed <= loaded, command

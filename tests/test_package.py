@@ -75,8 +75,8 @@ def test_bare_import_loads_no_penair_module():
     code = ("import sys, penair\n"
             "print(' '.join(m for m in sys.modules if m.startswith('penair')))")
     env = {**os.environ, "PYTHONPATH": str(Path(penair.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=env, check=True, timeout=60)
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          encoding="utf-8", env=env, check=True, timeout=60)
     assert done.stdout.split() == ["penair"]
 
 

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -20,35 +19,7 @@ from penair import (
 )
 from penair.stats import _doubled_ranks
 
-
-def pairwise_u(a, b):
-    # U by its pairwise-win definition, kept rational for exactness
-    u = Fraction(0)
-    for x in a:
-        for y in b:
-            if x > y:
-                u += 1
-            elif x == y:
-                u += Fraction(1, 2)
-    return u
-
-
-def enumerated_p(a, b):
-    # literal two-sided tail over every assignment of the pooled values
-    pooled = list(a) + list(b)
-    n_a = len(a)
-    mu = Fraction(n_a * len(b), 2)
-    observed = abs(pairwise_u(a, b) - mu)
-    extreme = 0
-    total = 0
-    for picked in itertools.combinations(range(len(pooled)), n_a):
-        chosen = set(picked)
-        side_a = [pooled[i] for i in picked]
-        side_b = [pooled[i] for i in range(len(pooled)) if i not in chosen]
-        total += 1
-        if abs(pairwise_u(side_a, side_b) - mu) >= observed:
-            extreme += 1
-    return Fraction(extreme, total)
+from oracles import enumerated_p, pairwise_u
 
 
 # _doubled_ranks gives twice each midrank, so tied ranks stay integers
