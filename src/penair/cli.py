@@ -5,15 +5,14 @@ Each handler returns its output text (a table, an SVG, or the manifest path
 synth wrote to its --out DIR); main alone writes it, the same UTF-8 bytes to
 --out PATH or else to stdout under any locale, and main alone maps an error
 to its stderr line and exit code: 0 success, 1 usage error, 2 parse/format
-error, 3 empty-cohort or degenerate-data error. WARN lines go to stderr.
+error, 3 empty-cohort or degenerate-data error. WARN and error lines go to
+stderr, as UTF-8 bytes too.
 Manifest commands read their files, and synth generates its corpus's files,
 in one forked process per usable CPU; output, warnings and the error
 reported keep manifest order, and a corpus is the same bytes at any count.
 The single-file commands (parse, segment, render) parse their recording in
 this process. A command imports only the modules it runs: synth and the rank
-tests load in their handlers, pickle only when forking. No command loads
-dataclasses or typing: the value classes are named tuples and penair.frozen
-classes, which cost nothing to import beyond their definitions.
+tests load in their handlers, pickle only when forking.
 """
 
 from __future__ import annotations
@@ -57,11 +56,23 @@ EXIT_FORMAT = 2
 EXIT_DEGENERATE = 3
 
 
+def _write(stream, text: str) -> None:
+    """``text`` to ``stream`` as UTF-8 bytes whatever the locale, after what
+    its text layer holds, and flushed, as stderr's text layer flushes each
+    line; a stream without bytes (a StringIO) takes the text."""
+    if hasattr(stream, "buffer"):
+        stream.flush()
+        stream.buffer.write(text.encode("utf-8"))
+        stream.buffer.flush()
+    else:
+        stream.write(text)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the CLI contract wants 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
+        _write(sys.stderr, f"error: {message}\n")
         raise SystemExit(EXIT_USAGE)
 
 
@@ -144,7 +155,7 @@ def _from_flags(cls, args):
 
 def _print_warnings(warnings: tuple[ParseWarning, ...], shown_path: str) -> None:
     for w in warnings:
-        sys.stderr.write(f"WARN {shown_path}:{w.line} {w.message}\n")
+        _write(sys.stderr, f"WARN {shown_path}:{w.line} {w.message}\n")
 
 
 def _read_recording(args) -> SampleStream:
@@ -323,8 +334,8 @@ def _cmd_compare(args, cfg: RunConfig) -> str:
     for v in vectors:  # compare_cohorts drops anomalous files: name each one
         rec = v.source
         if v.anomalous and rec.cohort in (args.cohort_a, args.cohort_b):
-            sys.stderr.write(f"WARN {rec.path} anomalous: excluded from comparison "
-                             f"(cohort {rec.cohort}, task {rec.task})\n")
+            _write(sys.stderr, f"WARN {rec.path} anomalous: excluded from comparison "
+                               f"(cohort {rec.cohort}, task {rec.task})\n")
     side_a = [v for v in vectors if v.source.cohort == args.cohort_a]
     side_b = [v for v in vectors if v.source.cohort == args.cohort_b]
     for cohort, side in ((args.cohort_a, side_a), (args.cohort_b, side_b)):
@@ -388,7 +399,7 @@ def main(argv=None) -> int:
         if args.command == "compare" and args.cohort_a == args.cohort_b:
             raise ValueError(f"--cohort-a and --cohort-b both name cohort {args.cohort_a!r}")
     except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _write(sys.stderr, f"error: {exc}\n")
         return EXIT_USAGE
     # penair's data holds no reference cycles, so the cyclic collector would
     # only walk the parsed columns and strokes again and again: a command runs
@@ -397,17 +408,13 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         text = args.handler(args, cfg)
-        # UTF-8 bytes whatever the locale; a stream without bytes (a StringIO) takes the text
         if args.out:
             Path(args.out).write_bytes(text.encode("utf-8"))
-        elif hasattr(sys.stdout, "buffer"):
-            sys.stdout.flush()
-            sys.stdout.buffer.write(text.encode("utf-8"))
         else:
-            sys.stdout.write(text)
+            _write(sys.stdout, text)
         return EXIT_OK
     except (PenAirError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _write(sys.stderr, f"error: {exc}\n")
         # an empty cohort or degenerate data is 3; any other library error is a data problem
         degenerate = (EmptyCohortError, DegenerateDataError, InsufficientDataError)
         return EXIT_DEGENERATE if isinstance(exc, degenerate) else EXIT_FORMAT

@@ -52,31 +52,25 @@ class RankTestResult(namedtuple("RankTestResult", "task feature u p method signi
     __slots__ = ()
 
 
-def _doubled_ranks(values: Sequence) -> tuple[list[int], tuple[int, ...]]:
-    """Twice the midrank of every value, in input order, and the tie-group
-    sizes in ascending value order (untied values are groups of size 1). A
-    group of t values after ``offset`` smaller ones has doubled midrank
-    2*offset + t + 1."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks2 = [0] * len(values)
-    sizes = []
-    offset = 0
-    for _, group in groupby(order, key=values.__getitem__):
-        members = list(group)
-        for i in members:
-            ranks2[i] = 2 * offset + len(members) + 1
-        sizes.append(len(members))
-        offset += len(members)
-    return ranks2, tuple(sizes)
-
-
 def _doubled_u(a: Sequence, b: Sequence) -> tuple[int, tuple[int, ...]]:
-    """2*U_A = 2*R_A - n_a(n_a+1), exact, and the pooled tie profile."""
+    """2*U_A = 2*R_A - n_a(n_a+1), exact, and the pooled tie profile: the
+    tie-group sizes in ascending value order (untied values are groups of
+    size 1). A group of t values after ``offset`` smaller ones has doubled
+    midrank 2*offset + t + 1."""
     n_a = len(a)
     if n_a < 1 or len(b) < 1:
         raise ValueError("both groups need at least one value")
-    ranks2, sizes = _doubled_ranks(list(a) + list(b))
-    return sum(ranks2[:n_a]) - n_a * (n_a + 1), sizes
+    pooled = list(a) + list(b)
+    order = sorted(range(len(pooled)), key=pooled.__getitem__)
+    r2_a = offset = 0
+    sizes = []
+    for _, group in groupby(order, key=pooled.__getitem__):
+        members = list(group)
+        t = len(members)
+        r2_a += sum(i < n_a for i in members) * (2 * offset + t + 1)
+        sizes.append(t)
+        offset += t
+    return r2_a - n_a * (n_a + 1), tuple(sizes)
 
 
 def mann_whitney_u(a: Sequence, b: Sequence) -> UStat:

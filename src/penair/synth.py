@@ -288,7 +288,7 @@ class CorpusSpec(Frozen):
             if {"/", "\\", "\0"} & set(name):
                 raise SynthSpecError(f"cohort name {name!r} holds '/', '\\' or NUL")
             # the file-name limit of common Linux and macOS file systems
-            longest = len(f"{name}_{cohort.n_files - 1:03d}.svc".encode())
+            longest = len(f"{_member_stem(name, cohort.n_files - 1)}.svc".encode())
             if longest > 255:
                 raise SynthSpecError(f"cohort {name!r}: a file name of {longest} bytes "
                                      "is over the limit of 255")
@@ -302,6 +302,11 @@ class CorpusSpec(Frozen):
                 SynthSpec(self.nominal_period, self.jitter, shortest, 0, self.gap_factor)
             except SynthSpecError as exc:
                 raise SynthSpecError(f"cohort {name!r}: {exc}") from None
+
+
+def _member_stem(cohort: str, i: int) -> str:
+    """File stem and subject of member ``i`` of ``cohort``."""
+    return f"{cohort}_{i:03d}"
 
 
 def corpus_members(spec: CorpusSpec) -> list[tuple[str, int]]:
@@ -332,8 +337,8 @@ def write_corpus(spec: CorpusSpec, texts: list[str], out_dir: str | Path) -> Pat
     ``manifest.csv``; returns the manifest path. The manifest is read back by
     load_manifest first, so a manifest the reader would refuse leaves no
     files behind."""
-    rows = [(f"{cohort}_{i:03d}.svc", spec.database, spec.task, f"{cohort}_{i:03d}", cohort)
-            for cohort, i in corpus_members(spec)]
+    stems = [(_member_stem(cohort, i), cohort) for cohort, i in corpus_members(spec)]
+    rows = [(f"{stem}.svc", spec.database, spec.task, stem, cohort) for stem, cohort in stems]
     manifest_text = csv_text(MANIFEST_HEADER, rows)
     try:  # what the manifest reader would refuse is not written
         load_manifest(manifest_text)

@@ -6,15 +6,10 @@ test, generator ground truth for segmentation) rather than re-deriving
 expected values from the code under test.
 """
 
-import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
-import penair
 from penair import (
     AnomalyPolicy,
     Feature,
@@ -35,6 +30,7 @@ from penair import (
     serialize_session,
 )
 
+from fresh import run_penair
 from oracles import enumerated_p
 
 S = StrokeClass.ON_SURFACE
@@ -220,31 +216,30 @@ gap_ticks = 30..80
 """
 
 
-def run_cli(args, hash_seed):
-    # -S: the CLI runs on the standard library alone, with no site-packages
-    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
-               PYTHONPATH=str(Path(penair.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-S", "-m", "penair", *args],
-        capture_output=True, env=env, check=False,
-    )
+def run_cli(args, hash_seed, workers):
+    # a fresh interpreter with its own hash seed, where a file the CLI leaves
+    # open fails the run: at one worker, every file it reads or writes
+    proc = run_penair(args, workers, env={"PYTHONHASHSEED": str(hash_seed)})
     assert proc.returncode == 0, proc.stderr.decode()
-    # under PYTHONDEVMODE and PYTHONWARNINGS=error::ResourceWarning a file the
-    # child left open is reported here, and only here where it reads files itself
-    assert b"ResourceWarning" not in proc.stderr, proc.stderr.decode()
     return proc.stdout
 
 
 def test_aggregate_and_compare_outputs_are_deterministic(tmp_path):
+    # each hash seed with another worker count: one reads and generates every
+    # file in the main process, two fork a worker for each share
     spec = tmp_path / "corpus.ini"
     spec.write_text(DETERMINISM_SPEC, encoding="utf-8")
-    out = tmp_path / "corpus"
-    run_cli(["synth", "--spec", str(spec), "--seed", "42", "--out", str(out)], 0)
-    manifest = str(out / "manifest.csv")
-    agg = [run_cli(["aggregate", manifest], seed) for seed in (1, 2)]
+    corpora = []
+    for seed, workers in ((0, 1), (5, 2)):
+        out = tmp_path / f"corpus{workers}"
+        run_cli(["synth", "--spec", str(spec), "--seed", "42", "--out", str(out)], seed, workers)
+        corpora.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert corpora[0] == corpora[1]
+    manifest = str(tmp_path / "corpus1" / "manifest.csv")
+    agg = [run_cli(["aggregate", manifest], seed, workers) for seed, workers in ((1, 1), (2, 2))]
     assert agg[0] == agg[1]
     compare_args = ["compare", manifest, "--cohort-a", "a", "--cohort-b", "b"]
-    cmp_runs = [run_cli(compare_args, seed) for seed in (3, 4)]
+    cmp_runs = [run_cli(compare_args, seed, workers) for seed, workers in ((3, 1), (4, 2))]
     assert cmp_runs[0] == cmp_runs[1]
     assert agg[0].startswith(b"database,cohort,task,")
     assert cmp_runs[0].startswith(b"task,feature,")

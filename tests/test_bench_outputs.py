@@ -3,8 +3,11 @@
 Each workload of ``bench/workloads.py`` writes its seed-1 corpus with
 ``penair synth`` and runs its command in this process; the sha256 of the
 output must equal the workload's row of the seed-1 table in
-``bench/README.md``. A change that must keep the CLI's output
-byte-identical keeps every row. Nothing under ``bench/`` is written.
+``bench/README.md``, and the workload's own check must pass it against the
+ground truth ``build_truth`` regenerates through the generator API, as
+``bench/run.py`` checks every output it times. A change that must keep the
+CLI's output byte-identical keeps every row. Nothing under ``bench/`` is
+written.
 """
 
 import hashlib
@@ -46,3 +49,5 @@ def test_seed_one_output_matches_bench_readme(name, tmp_path, monkeypatch, capsy
     out = workload.output_path()
     output = (corpus / out).read_bytes() if out else capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(output).hexdigest() == TABLE[name]
+    truth = [ft for job in jobs for ft in workloads.build_truth(job)]
+    assert workload.check(output, workload.expected(truth)) == []

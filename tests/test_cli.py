@@ -5,8 +5,6 @@ import io
 import itertools
 import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -15,6 +13,8 @@ import pytest
 from penair import cli
 from penair.cli import main
 from penair.ingest import MANIFEST_HEADER, csv_text
+
+from fresh import run_penair, run_python, usable_cpus
 
 CORPUS_INI = """
 [corpus]
@@ -543,21 +543,28 @@ CONTRACT = {
 }
 
 
+# one worker reads a manifest's files, and synth generates its corpus, in this
+# process; two fork a worker for each share
+WORKERS = (1, 2)
+
+
 @pytest.mark.parametrize("argv, code, stdout_sha256, stderr", CONTRACT.values(), ids=CONTRACT)
 def test_command_line_contract(contract_inputs, capsys, argv, code, stdout_sha256, stderr):
-    assert main(argv.split()) == code
-    out, err = capsys.readouterr()
-    assert err == stderr
-    if code == 0:
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_sha256
-        return
-    # a refused command line writes nothing: no stdout, and no file at --out
-    assert out == ""
-    if argv.startswith("synth "):  # synth's own --out names a directory
-        assert not Path(argv.split()[-1]).exists()
-    assert main([*argv.split(), "--out", "out.txt"]) == code
-    assert capsys.readouterr() == ("", stderr)
-    assert not Path("out.txt").exists()
+    for workers in WORKERS:
+        with usable_cpus(workers):
+            assert main(argv.split()) == code, workers
+            out, err = capsys.readouterr()
+            assert err == stderr, workers
+            if code == 0:
+                assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_sha256, workers
+                continue
+            # a refused command line writes nothing: no stdout, and no file at --out
+            assert out == ""
+            if argv.startswith("synth "):  # synth's own --out names a directory
+                assert not Path(argv.split()[-1]).exists()
+            assert main([*argv.split(), "--out", "out.txt"]) == code
+            assert capsys.readouterr() == ("", stderr)
+            assert not Path("out.txt").exists()
 
 
 GOLDEN = [argv for argv, code, _, _ in CONTRACT.values() if code == 0]
@@ -565,29 +572,36 @@ GOLDEN = [argv for argv, code, _, _ in CONTRACT.values() if code == 0]
 
 @pytest.mark.parametrize("argv", GOLDEN, ids=[f"argv{i}" for i in range(len(GOLDEN))])
 def test_out_file_holds_the_bytes_stdout_would(contract_inputs, capsys, argv):
-    assert main(argv.split()) == 0
-    to_stdout = capsys.readouterr()
-    assert main([*argv.split(), "--out", "out.txt"]) == 0
-    assert capsys.readouterr() == ("", to_stdout.err)
-    assert to_stdout.out and Path("out.txt").read_bytes() == to_stdout.out.encode("utf-8")
+    for workers in WORKERS:
+        with usable_cpus(workers):
+            assert main(argv.split()) == 0
+            to_stdout = capsys.readouterr()
+            assert main([*argv.split(), "--out", "out.txt"]) == 0
+            assert capsys.readouterr() == ("", to_stdout.err)
+            assert to_stdout.out and Path("out.txt").read_bytes() == to_stdout.out.encode("utf-8")
 
 
 @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
 def test_stdout_holds_the_utf8_bytes_of_out_under_any_io_encoding(tmp_path, encoding):
-    # a cohort label outside ASCII shows whether stdout took the stream's encoding
-    write_session(tmp_path)
+    # a file and a cohort named outside ASCII show whether stdout and stderr
+    # took the stream's encoding
+    recording = write_session(tmp_path, "contr\u00f4le.svc", "0 0 0 1\n1 1 2 1\n2 2 2 1\n")
     manifest = tmp_path / "manifest.csv"
-    manifest.write_text(manifest_text("rec.svc,db,copy,s0,contr\u00f4le"), encoding="utf-8")
+    manifest.write_text(manifest_text("contr\u00f4le.svc,db,copy,s0,contr\u00f4le"),
+                        encoding="utf-8")
     target = tmp_path / "out.csv"
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
-           "PYTHONIOENCODING": encoding}
-    argv = [sys.executable, "-S", "-m", "penair", "features", str(manifest)]
-    runs = [subprocess.run(command, capture_output=True, env=env, timeout=60)
-            for command in (argv, [*argv, "--out", str(target)])]
-    assert [(done.returncode, done.stderr) for done in runs] == [(0, b""), (0, b"")]
+    env = {"PYTHONIOENCODING": encoding}
+    argv = ["features", str(manifest)]
+    runs = [run_penair(command, env=env) for command in (argv, [*argv, "--out", str(target)])]
+    warn = f"WARN {recording}:3 duplicate timestamp 2 dropped\n".encode("utf-8")
+    assert [(done.returncode, done.stderr) for done in runs] == [(0, warn), (0, warn)]
     assert runs[1].stdout == b""
     assert runs[0].stdout == target.read_bytes()
     assert "contr\u00f4le".encode("utf-8") in runs[0].stdout
+    absent = tmp_path / "absent_\u00e9.svc"
+    done = run_penair(["parse", str(absent)], env=env)
+    error = f"error: [Errno 2] No such file or directory: {str(absent)!r}\n"
+    assert (done.returncode, done.stdout, done.stderr) == (2, b"", error.encode("utf-8"))
 
 
 def test_synth_prints_only_the_manifest_path(tmp_path, capsys):
@@ -615,24 +629,15 @@ def test_out_in_a_missing_directory_exits_two(tmp_path, capsys, command):
     assert not target.parent.exists()
 
 
-def run_cli_in_fresh_interpreter(prelude, argv):
-    # a forked child that got back into the CLI would write to the real
-    # stdout, which only a separate process shows
-    code = (f"import os, sys\nfrom penair import cli\nparent = os.getpid()\n{prelude}\n"
-            f"cli._usable_cpus = lambda: 2\nsys.exit(cli.main({argv!r}))\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    # -S: no site-packages, so a command that imported one would fail here
-    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                          encoding="utf-8", env=env, timeout=60)
-
-
-def modules_loaded_by(tmp_path, argv):
+def modules_loaded_by(tmp_path, argv, workers):
     """Names in sys.modules once cli.main(argv) has run in a fresh interpreter."""
     listing = tmp_path / "modules.txt"
     prelude = ("import atexit\n"
-               f"atexit.register(lambda: open({str(listing)!r}, 'w', encoding='utf-8')"
-               ".write(' '.join(sys.modules)))")
-    done = run_cli_in_fresh_interpreter(prelude, argv)
+               "def write_listing():\n"
+               f"    with open({str(listing)!r}, 'w', encoding='utf-8') as out:\n"
+               "        out.write(' '.join(sys.modules))\n"
+               "atexit.register(write_listing)")
+    done = run_penair(argv, workers, prelude)
     assert done.returncode == 0, done.stderr
     return set(listing.read_text(encoding="utf-8").split())
 
@@ -650,33 +655,38 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     only_synth = synth | never
     single = only_synth | {"penair.stats", "pickle"}  # a one-recording command
     # json loads where a recording is parsed, for ingest's JSON scanner
-    runs = {  # command: (argv, modules it loads, modules it must not load)
-        "parse": (["parse", recording, *to], {"penair.ingest", "json"}, single),
-        "segment": (["segment", recording, *to], {"penair.segmentation", "json"}, single),
-        "render": (["render", recording, *to], {"penair.report", "json"}, single),
+    runs = [  # (command, workers, argv, modules it loads, modules it must not load)
+        ("parse", 2, ["parse", recording, *to], {"penair.ingest", "json"}, single),
+        ("segment", 2, ["segment", recording, *to], {"penair.segmentation", "json"}, single),
+        ("render", 2, ["render", recording, *to], {"penair.report", "json"}, single),
         # a single-file command parses in one process at any size: it never forks
-        "parse large": (["parse", large, *to], {"json"}, single),
-        # run_cli_in_fresh_interpreter gives two workers, so these fan out, and
-        # only the workers parse
-        "features": (["features", str(manifest), *to], {"pickle"},
-                     only_synth | {"penair.stats", "json"}),
-        "aggregate": (["aggregate", str(manifest), *to], {"pickle"},
-                      only_synth | {"penair.stats", "json"}),
-        "compare": (["compare", str(manifest), "--cohort-a", "control", "--cohort-b", "patient",
-                     *to], {"penair.stats", "pickle"}, only_synth | {"json"}),
-        # two workers: synth forks its generators, and no recording is parsed
-        "synth": (["synth", "--spec", str(tmp_path / "corpus.ini"), "--seed", "1",
-                   "--out", str(tmp_path / "again")], synth | {"pickle"}, never | {"json"}),
-    }
+        ("parse large", 2, ["parse", large, *to], {"json"}, single),
+    ]
+    compare = ["--cohort-a", "control", "--cohort-b", "patient"]
+    for workers in WORKERS:
+        # at two workers a command forks, and pickle carries its results back;
+        # at one the manifest commands parse in this process
+        fork = {"pickle"} if workers > 1 else set()
+        here = set() if workers > 1 else {"json"}
+        other = {"pickle", "json"} - fork - here
+        runs += [
+            ("features", workers, ["features", str(manifest), *to], fork | here,
+             only_synth | {"penair.stats"} | other),
+            ("aggregate", workers, ["aggregate", str(manifest), *to], fork | here,
+             only_synth | {"penair.stats"} | other),
+            ("compare", workers, ["compare", str(manifest), *compare, *to],
+             {"penair.stats"} | fork | here, only_synth | other),
+            # synth parses no recording
+            ("synth", workers, ["synth", "--spec", str(tmp_path / "corpus.ini"), "--seed", "1",
+                                "--out", str(tmp_path / f"again{workers}")],
+             synth | fork, never | ({"json", "pickle"} - fork)),
+        ]
     # what a bare interpreter loads is not penair's doing
-    bare = set(subprocess.run([sys.executable, "-S", "-c",
-                               "import sys; print(' '.join(sys.modules))"],
-                              capture_output=True, encoding="utf-8", check=True,
-                              timeout=60).stdout.split())
-    for command, (argv, needed, refused) in runs.items():
-        loaded = modules_loaded_by(tmp_path, argv)
-        assert needed <= loaded, command
-        assert not refused & (loaded - bare), command
+    bare = set(run_python("print(' '.join(sys.modules))").stdout.decode().split())
+    for command, workers, argv, needed, refused in runs:
+        loaded = modules_loaded_by(tmp_path, argv, workers)
+        assert needed <= loaded, (command, workers)
+        assert not refused & (loaded - bare), (command, workers)
 
 
 def dying_worker(target):
@@ -701,7 +711,9 @@ def buggy_worker(target):
 
 
 # what each worker runs per item: features reads a file, and synth, which
-# imports member_text when it runs, generates one
+# imports member_text when it runs, generates one. The worker tests run the CLI
+# in a fresh interpreter at two workers: a forked child that got back into
+# the CLI would write to the real stdout, which only a separate process shows
 REDUCE_FILE, MEMBER_TEXT = "penair.cli._reduce_file", "penair.synth.member_text"
 
 
@@ -712,35 +724,35 @@ def synth_argv(tmp_path):
 
 def test_worker_that_dies_without_result_fails_the_run(tmp_path):
     manifest = make_corpus(tmp_path)
-    done = run_cli_in_fresh_interpreter(dying_worker(REDUCE_FILE), ["features", str(manifest)])
+    done = run_penair(["features", str(manifest)], 2, dying_worker(REDUCE_FILE))
     assert done.returncode == 2
-    assert done.stdout == ""
-    assert done.stderr == "error: worker process exited with status 7 before sending its results\n"
+    assert done.stdout == b""
+    assert done.stderr == b"error: worker process exited with status 7 before sending its results\n"
 
 
 def test_synth_worker_that_dies_without_result_writes_nothing(tmp_path):
-    done = run_cli_in_fresh_interpreter(dying_worker(MEMBER_TEXT), synth_argv(tmp_path))
+    done = run_penair(synth_argv(tmp_path), 2, dying_worker(MEMBER_TEXT))
     assert done.returncode == 2
-    assert done.stdout == ""
-    assert done.stderr == "error: worker process exited with status 7 before sending its results\n"
+    assert done.stdout == b""
+    assert done.stderr == b"error: worker process exited with status 7 before sending its results\n"
     assert not (tmp_path / "corpus").exists()
 
 
 def test_worker_bug_reaches_parent_and_no_table_is_printed(tmp_path):
     manifest = make_corpus(tmp_path)
-    done = run_cli_in_fresh_interpreter(buggy_worker(REDUCE_FILE), ["features", str(manifest)])
+    done = run_penair(["features", str(manifest)], 2, buggy_worker(REDUCE_FILE))
     assert done.returncode == 1
-    assert done.stdout == ""
-    assert "ZeroDivisionError: boom in child" in done.stderr
-    assert "worker process failed" in done.stderr
+    assert done.stdout == b""
+    assert b"ZeroDivisionError: boom in child" in done.stderr
+    assert b"worker process failed" in done.stderr
 
 
 def test_synth_worker_bug_reaches_parent_and_nothing_is_written(tmp_path):
-    done = run_cli_in_fresh_interpreter(buggy_worker(MEMBER_TEXT), synth_argv(tmp_path))
+    done = run_penair(synth_argv(tmp_path), 2, buggy_worker(MEMBER_TEXT))
     assert done.returncode == 1
-    assert done.stdout == ""
-    assert "ZeroDivisionError: boom in child" in done.stderr
-    assert "worker process failed" in done.stderr
+    assert done.stdout == b""
+    assert b"ZeroDivisionError: boom in child" in done.stderr
+    assert b"worker process failed" in done.stderr
     assert not (tmp_path / "corpus").exists()
 
 
@@ -1063,3 +1075,12 @@ def test_usable_cpus_without_affinity_or_fork(monkeypatch):
     assert cli._usable_cpus() == (3 if hasattr(os, "fork") else 1)
     monkeypatch.delattr(os, "fork", raising=False)
     assert cli._usable_cpus() == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask")
+def test_one_cpu_of_the_affinity_mask_is_one_worker():
+    # what taskset -c 0 does from outside, the child does to itself
+    done = run_python("from penair import cli\n"
+                      "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                      "print(cli._usable_cpus())")
+    assert (done.returncode, done.stdout) == (0, b"1\n"), done.stderr

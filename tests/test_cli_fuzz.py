@@ -19,6 +19,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from penair.cli import main
 from penair.ingest import MANIFEST_HEADER, csv_text
 
+from fresh import usable_cpus
+
 _FIELD = st.one_of(
     st.integers(-3, 12).map(str),
     st.integers(-(10**20), 10**20).map(str),
@@ -119,8 +121,9 @@ _ODD_FIELD = st.one_of(st.none(), st.none(), st.tuples(
 @given(entries=st.lists(st.tuples(_ENTRY, FILE_BYTES, st.sampled_from(["control", "patient"]),
                                   _ODD_FIELD),
                         max_size=6),
-       command=st.sampled_from(["features", "aggregate", "compare"]))
-def test_manifest_commands_keep_exit_contract(entries, command):
+       command=st.sampled_from(["features", "aggregate", "compare"]),
+       workers=st.sampled_from([1, 2]))
+def test_manifest_commands_keep_exit_contract(entries, command, workers):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         rows = []
@@ -141,7 +144,8 @@ def test_manifest_commands_keep_exit_contract(entries, command):
         argv = [command, str(manifest)]
         if command == "compare":
             argv += ["--cohort-a", "control", "--cohort-b", "patient"]
-        check_contract(*run(argv))
+        with usable_cpus(workers):
+            check_contract(*run(argv))
 
 
 def _range(lo, hi):
@@ -207,9 +211,9 @@ def corpus_specs(draw):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(spec=st.one_of(corpus_specs().map(str.encode), st.binary(max_size=300)),
-       seed=st.integers(-5, 2**70))
-def test_synth_keeps_exit_contract_and_its_corpus_reads_back(spec, seed):
-    with tempfile.TemporaryDirectory() as tmp:
+       seed=st.integers(-5, 2**70), workers=st.sampled_from([1, 2]))
+def test_synth_keeps_exit_contract_and_its_corpus_reads_back(spec, seed, workers):
+    with tempfile.TemporaryDirectory() as tmp, usable_cpus(workers):
         spec_path = Path(tmp) / "spec.ini"
         spec_path.write_bytes(spec)
         argv = ["synth", "--spec", str(spec_path), "--seed", str(seed),

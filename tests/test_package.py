@@ -3,8 +3,6 @@ on first use, so ``import penair`` loads none of penair's modules. And its
 sources: every file compiles with warnings as errors."""
 
 import importlib
-import os
-import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -12,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import penair
+
+from fresh import run_python
 
 EXPORTS = {  # defining module -> the names the package exports from it
     "errors": ["DegenerateDataError", "EmptyCohortError", "EmptyInputError", "ExactSizeError",
@@ -72,12 +72,9 @@ def test_submodules_still_import_by_name():
 
 
 def test_bare_import_loads_no_penair_module():
-    code = ("import sys, penair\n"
-            "print(' '.join(m for m in sys.modules if m.startswith('penair')))")
-    env = {**os.environ, "PYTHONPATH": str(Path(penair.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                          encoding="utf-8", env=env, check=True, timeout=60)
-    assert done.stdout.split() == ["penair"]
+    done = run_python("import penair\n"
+                      "print(' '.join(m for m in sys.modules if m.startswith('penair')))")
+    assert (done.returncode, done.stdout.split()) == (0, [b"penair"]), done.stderr
 
 
 def test_every_source_file_compiles_with_warnings_as_errors():

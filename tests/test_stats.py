@@ -17,22 +17,29 @@ from penair import (
     exact_p,
     mann_whitney_u,
 )
-from penair.stats import _doubled_ranks
+from penair.stats import _doubled_u
 
 from oracles import enumerated_p, pairwise_u
 
 
-# _doubled_ranks gives twice each midrank, so tied ranks stay integers
+def doubled_midranks(values):
+    """Twice each value's midrank in the pool ``values``, so tied ranks stay
+    integers, and the pool's tie profile, read off _doubled_u with the value
+    alone in group A: its doubled U is its doubled midrank minus 2."""
+    runs = [_doubled_u([v], values[:i] + values[i + 1:]) for i, v in enumerate(values)]
+    return [u2 + 2 for u2, _ in runs], runs[0][1]
+
+
 def test_midranks_no_ties():
-    assert _doubled_ranks([5, 1, 3]) == ([6, 2, 4], (1, 1, 1))
+    assert doubled_midranks([5, 1, 3]) == ([6, 2, 4], (1, 1, 1))
 
 
 def test_midranks_tie_pair():
-    assert _doubled_ranks([2, 2]) == ([3, 3], (2,))
+    assert doubled_midranks([2, 2]) == ([3, 3], (2,))
 
 
 def test_midranks_three_tie_groups():
-    assert _doubled_ranks([1, 1, 2, 2, 3, 3]) == ([3, 3, 7, 7, 11, 11], (2, 2, 2))
+    assert doubled_midranks([1, 1, 2, 2, 3, 3]) == ([3, 3, 7, 7, 11, 11], (2, 2, 2))
 
 
 def test_u_complete_separation():

@@ -11,9 +11,11 @@ has no pytest.
 
 import hashlib
 import io
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 from penair import SynthSpecError, cli, file_seed, generate_corpus, load_corpus_spec, synth
+
+from fresh import usable_cpus
 
 SPEC = """
 [corpus]
@@ -83,18 +85,6 @@ def test_corpus_digests(tmp_path):
         out = tmp_path / f"p{period}_j{jitter}_s{seed}"
         generate_corpus(load_corpus_spec(SPEC.format(period=period, jitter=jitter)), out, seed)
         assert digests(out) == expected, (period, jitter, seed)
-
-
-@contextmanager
-def usable_cpus(workers):
-    """cli._usable_cpus() returns ``workers`` inside; None keeps the real count."""
-    real = cli._usable_cpus
-    if workers is not None:
-        cli._usable_cpus = lambda: workers
-    try:
-        yield
-    finally:
-        cli._usable_cpus = real
 
 
 def run_synth(spec_path, seed, out):
