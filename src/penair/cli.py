@@ -7,9 +7,10 @@ synth wrote to its --out DIR); main alone writes it, the same UTF-8 bytes to
 to its stderr line and exit code: 0 success, 1 usage error, 2 parse/format
 error, 3 empty-cohort or degenerate-data error. WARN and error lines go to
 stderr, as UTF-8 bytes too.
-Manifest commands read their files, and synth generates its corpus's files,
-in one forked process per usable CPU; output, warnings and the error
-reported keep manifest order, and a corpus is the same bytes at any count.
+Manifest commands read their files, compare runs its rank tests, and synth
+generates its corpus's files in this process and one forked process per
+further usable CPU; output, warnings and the error reported keep manifest
+order, and a corpus is the same bytes at any count.
 The single-file commands (parse, segment, render) parse their recording in
 this process. A command imports only the modules it runs: synth and the rank
 tests load in their handlers, pickle only when forking.
@@ -213,12 +214,15 @@ def _reduce_file(opts: ParseOptions, seg_cfg, policy, record):
 def _fan_out(step, items, context) -> tuple[list, Exception | None]:
     """``step(*context, item)`` on each item up to the first that raises
     PenAirError or OSError: ``(results, failure)``, the results of the items
-    before it and its exception, else every result and None. Each share
-    ``items[w::workers]`` runs in one forked child per usable CPU and stops at
-    its own first failure; the earliest in item order is the one a run in this
-    process, as at one usable CPU or one item, stops at. Every child is read
-    and reaped before any is judged: one that exited without sending raises
-    ChildProcessError, one that hit a bug its RuntimeError."""
+    before it and its exception, else every result and None. With one worker
+    per usable CPU, worker ``w`` runs the share ``items[w::workers]`` and stops
+    at its own first failure: worker 0 is this process, and each other worker
+    a forked child, so one usable CPU or one item forks nothing. The earliest
+    failure in item order is the one a serial run stops at. The children are
+    judged in order once this process's share is done: one that exited
+    without sending raises ChildProcessError, one that hit a bug its
+    RuntimeError. Every child is reaped on every path, a bug or an interrupt
+    in this process's own share included."""
 
     def run(share):
         results = []
@@ -229,60 +233,61 @@ def _fan_out(step, items, context) -> tuple[list, Exception | None]:
                 return results, exc
         return results, None
 
-    workers = min(len(items), _usable_cpus())
-    if workers < 2:
-        return run(items)
+    workers = max(1, min(len(items), _usable_cpus()))
     # raw fork, not a multiprocessing pool: the CLI runs no threads, and a
     # pool's import and start-up ate most of the saving when measured
-    import pickle  # before the fork, so the children inherit it loaded
-
-    children, fds = [], ()
+    pids, pipes = [], []  # the children not yet reaped, and every read end
     try:
-        for w in range(workers):
-            fds = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                # never returns into the CLI and never writes to stdout or stderr:
-                # a child that got back to main would print the table a second time
-                status = 1
-                try:
-                    os.close(fds[0])
-                    try:
-                        result = run(items[w::workers])
-                    except Exception:  # a bug: the parent raises it with this traceback
-                        import traceback
+        for w in range(1, workers):
+            import pickle  # before each fork, so the children inherit it loaded
 
-                        result = RuntimeError(f"worker process failed:\n{traceback.format_exc()}")
-                    with open(fds[1], "wb") as pipe:
-                        pickle.dump(result, pipe)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(fds[1])
-            children.append((pid, fds[0]))
-            fds = ()
-    except BaseException:
-        # a pipe or fork failed: read ends first, so that a child blocked on a
-        # full pipe fails its write and exits, then reap every child started
-        for fd in [read_fd for _, read_fd in children] + list(fds):
-            os.close(fd)
-        for pid, _ in children:
-            os.waitpid(pid, 0)
-        raise
-    payloads = []
-    for pid, read_fd in children:
-        with open(read_fd, "rb") as pipe:
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            with open(write_fd, "wb") as sink:  # this process's copy closes after the fork
+                pid = os.fork()
+                if pid == 0:
+                    # never returns into the CLI and never writes to stdout or stderr:
+                    # a child that got back to main would print the table a second time
+                    status = 1
+                    try:
+                        # with no read end left here, a write the parent will not
+                        # read fails at once instead of blocking
+                        for pipe in pipes:
+                            pipe.close()
+                        try:
+                            result = run(items[w::workers])
+                        except Exception:  # a bug: the parent raises it with this traceback
+                            import traceback
+
+                            result = RuntimeError(
+                                f"worker process failed:\n{traceback.format_exc()}")
+                        pickle.dump(result, sink)
+                        sink.close()
+                        status = 0
+                    finally:
+                        os._exit(status)
+            pids.append(pid)
+        shares = [run(items[0::workers])]
+        for pipe in pipes:
             data = pipe.read()
-        payloads.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data))
+            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            if status != 0:
+                raise ChildProcessError(
+                    f"worker process exited with status {status} before sending its results")
+            share = pickle.loads(data)
+            if isinstance(share, RuntimeError):
+                raise share
+            shares.append(share)
+    finally:
+        # read ends first, so that a child blocked on a full pipe fails its
+        # write and exits, then reap every child not yet reaped
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
     merged, stop, failure = [None] * len(items), len(items), None
-    for w, (status, data) in enumerate(payloads):
-        if status != 0:
-            raise ChildProcessError(
-                f"worker process exited with status {status} before sending its results")
-        share = pickle.loads(data)
-        if isinstance(share, RuntimeError):
-            raise share
-        results, exc = share
+    for w, (results, exc) in enumerate(shares):
         at = w + workers * len(results)  # the share's next item: the one that failed, if any
         merged[w:at:workers] = results
         if exc is not None and at < stop:
@@ -344,12 +349,15 @@ def _cmd_compare(args, cfg: RunConfig) -> str:
             raise EmptyCohortError(f"no files for cohort {cohort!r}{where}")
     from .stats import compare_cohorts
 
+    def rank_test(side_a, side_b, exact_limit, test):
+        task, feature = test
+        return compare_cohorts(side_a, side_b, task, feature, exact_limit)
+
     tasks = sorted({v.source.task for v in side_a} | {v.source.task for v in side_b})
-    results = [
-        compare_cohorts(side_a, side_b, task, feature, cfg.exact_limit)
-        for task in tasks
-        for feature in Feature
-    ]
+    tests = [(task, feature) for task in tasks for feature in Feature]
+    results, failure = _fan_out(rank_test, tests, (side_a, side_b, cfg.exact_limit))
+    if failure is not None:
+        raise failure
     if cfg.table_format == TableFormat.MARKDOWN:
         return render_p_table(results, TableFormat.MARKDOWN)
     header = ("task", "feature", "n_A", "n_B", "U_A", "p", "method", "significant")

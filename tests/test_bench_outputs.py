@@ -6,8 +6,9 @@ output must equal the workload's row of the seed-1 table in
 ``bench/README.md``, and the workload's own check must pass it against the
 ground truth ``build_truth`` regenerates through the generator API, as
 ``bench/run.py`` checks every output it times. A change that must keep the
-CLI's output byte-identical keeps every row. Nothing under ``bench/`` is
-written.
+CLI's output byte-identical keeps every row. The commands run at two
+workers, this process's share and one forked child, on any machine. Nothing
+under ``bench/`` is written.
 """
 
 import hashlib
@@ -20,6 +21,8 @@ import pytest
 
 from penair.cli import main
 
+from fresh import usable_cpus
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 # loaded by file, so bench/ does not join sys.path; its dataclasses find
 # their module in sys.modules
@@ -31,8 +34,14 @@ TABLE = dict(re.findall(r"^\| `(\w+)` \| `([0-9a-f]{64})` \|$",
                         (BENCH / "README.md").read_text(encoding="utf-8"), re.M))
 
 
+@pytest.fixture
+def two_workers():
+    with usable_cpus(2):
+        yield
+
+
 @pytest.mark.parametrize("name", workloads.WORKLOADS)
-def test_seed_one_output_matches_bench_readme(name, tmp_path, monkeypatch, capsys):
+def test_seed_one_output_matches_bench_readme(name, tmp_path, monkeypatch, capsys, two_workers):
     workload = workloads.WORKLOADS[name]("full")
     jobs = workload.jobs(1)
     corpus = tmp_path / "corpus"

@@ -16,6 +16,17 @@ from penair.ingest import MANIFEST_HEADER, csv_text
 
 from fresh import run_penair, run_python, usable_cpus
 
+USABLE_CPUS = cli._usable_cpus  # the real count, for the tests of the function itself
+
+
+@pytest.fixture(autouse=True)
+def two_workers():
+    """A command run in this process fans out at two workers unless its test
+    sets another count: its own share and one forked child, on any machine."""
+    with usable_cpus(2):
+        yield
+
+
 CORPUS_INI = """
 [corpus]
 period = 2
@@ -393,6 +404,7 @@ CONTRACT_FILES = {  # beside the corpus_with_warnings corpus in corpus/
     "one.csv": manifest_text("one.svc,d,t,s,a"),
     "no_t2.csv": manifest_text(*NO_T2),
     "bad_t2.csv": manifest_text(*NO_T2, "bad.svc,d,t2,s2,b", "bad.svc,d,t2,s3,b"),
+    "no_t2_t3.csv": manifest_text("ok.svc,d,t3,s1,a", *NO_T2),  # cohort b has no t2 or t3
     "zero.svc": "0 0 zero 1\n",
     "dup.svc": "0 0 0 1\n1 1 2 1\n2 2 2 1\n3 3 4 1\n",  # line 3 repeats timestamp 2
     "four.svc": "0 0 0 1\n1 1 2 1\n2 2 4 0\n",  # four columns: no pressure
@@ -493,6 +505,9 @@ CONTRACT = {
                                "all 1 of its files are anomalous\n"),
     "compare_no_file_for_task": ("compare no_t2.csv --cohort-a a --cohort-b b", 3, None,
                                  "error: task 't2': cohort 'b' has no file for it\n"),
+    # the first failing test in task order is the one reported, as a serial run stops there
+    "compare_no_file_for_two_tasks": ("compare no_t2_t3.csv --cohort-a a --cohort-b b", 3, None,
+                                      "error: task 't2': cohort 'b' has no file for it\n"),
     "compare_all_anomalous_for_task": ("compare bad_t2.csv --cohort-a a --cohort-b b", 3, None,
                                        EXCLUDED.format("b", "t2") * 2 + "error: task 't2': "
                                        "cohort 'b' is empty after anomaly exclusion: "
@@ -543,8 +558,8 @@ CONTRACT = {
 }
 
 
-# one worker reads a manifest's files, and synth generates its corpus, in this
-# process; two fork a worker for each share
+# one worker reads a manifest's files, runs compare's tests and generates a
+# synth corpus in this process; two fork one child for the second share
 WORKERS = (1, 2)
 
 
@@ -654,7 +669,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     never = {"dataclasses", "inspect", "typing"}
     only_synth = synth | never
     single = only_synth | {"penair.stats", "pickle"}  # a one-recording command
-    # json loads where a recording is parsed, for ingest's JSON scanner
+    # json loads where a recording is parsed, for ingest's JSON scanner: in the
+    # main process of every command that parses one
     runs = [  # (command, workers, argv, modules it loads, modules it must not load)
         ("parse", 2, ["parse", recording, *to], {"penair.ingest", "json"}, single),
         ("segment", 2, ["segment", recording, *to], {"penair.segmentation", "json"}, single),
@@ -664,18 +680,17 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     ]
     compare = ["--cohort-a", "control", "--cohort-b", "patient"]
     for workers in WORKERS:
-        # at two workers a command forks, and pickle carries its results back;
-        # at one the manifest commands parse in this process
+        # at two workers a command forks, and pickle carries the child's results
+        # back; the main process parses its own share of the files at any count
         fork = {"pickle"} if workers > 1 else set()
-        here = set() if workers > 1 else {"json"}
-        other = {"pickle", "json"} - fork - here
+        unforked = {"pickle"} - fork
         runs += [
-            ("features", workers, ["features", str(manifest), *to], fork | here,
-             only_synth | {"penair.stats"} | other),
-            ("aggregate", workers, ["aggregate", str(manifest), *to], fork | here,
-             only_synth | {"penair.stats"} | other),
+            ("features", workers, ["features", str(manifest), *to], fork | {"json"},
+             only_synth | {"penair.stats"} | unforked),
+            ("aggregate", workers, ["aggregate", str(manifest), *to], fork | {"json"},
+             only_synth | {"penair.stats"} | unforked),
             ("compare", workers, ["compare", str(manifest), *compare, *to],
-             {"penair.stats"} | fork | here, only_synth | other),
+             {"penair.stats"} | fork | {"json"}, only_synth | unforked),
             # synth parses no recording
             ("synth", workers, ["synth", "--spec", str(tmp_path / "corpus.ini"), "--seed", "1",
                                 "--out", str(tmp_path / f"again{workers}")],
@@ -700,14 +715,27 @@ def dying_worker(target):
             f"{target} = dying")
 
 
-def buggy_worker(target):
+def buggy_worker(target, where="child"):
     """A prelude under which the function ``target`` (module.name) raises
-    ZeroDivisionError, naming the process it ran in."""
-    return (f"import {target.rpartition('.')[0]}\n"
+    ZeroDivisionError in a forked worker, or with ``where`` "parent" in the
+    main process's own share, and runs as before in the other."""
+    return (f"import {target.rpartition('.')[0]}\nreal = {target}\n"
             "def buggy(*args):\n"
-            "    where = 'child' if os.getpid() != parent else 'parent'\n"
-            "    raise ZeroDivisionError('boom in ' + where)\n"
+            f"    if ('child' if os.getpid() != parent else 'parent') == {where!r}:\n"
+            f"        raise ZeroDivisionError('boom in {where}')\n"
+            "    return real(*args)\n"
             f"{target} = buggy")
+
+
+# a prelude under which the process writes "no child left" to stderr as it
+# exits, after any traceback, when it has no child left, running or unreaped
+CHILDLESS_AT_EXIT = ("\nimport atexit\n"
+                     "def report_childless():\n"
+                     "    try:\n"
+                     "        os.waitpid(-1, os.WNOHANG)\n"
+                     "    except ChildProcessError:\n"
+                     "        sys.stderr.write('no child left\\n')\n"
+                     "atexit.register(report_childless)\n")
 
 
 # what each worker runs per item: features reads a file, and synth, which
@@ -754,6 +782,23 @@ def test_synth_worker_bug_reaches_parent_and_nothing_is_written(tmp_path):
     assert b"ZeroDivisionError: boom in child" in done.stderr
     assert b"worker process failed" in done.stderr
     assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("command", ["features", "synth"])
+def test_bug_in_the_main_process_share_fails_the_run_and_leaves_no_child(tmp_path, command):
+    # the main process raises on its own first item while its child still works
+    if command == "features":
+        argv, target = ["features", str(make_corpus(tmp_path))], REDUCE_FILE
+    else:
+        argv, target = synth_argv(tmp_path), MEMBER_TEXT
+    done = run_penair(argv, 2, buggy_worker(target, "parent") + CHILDLESS_AT_EXIT)
+    assert done.returncode == 1
+    assert done.stdout == b""
+    assert done.stderr.startswith(b"Traceback (most recent call last):\n")
+    assert done.stderr.endswith(b"ZeroDivisionError: boom in parent\nno child left\n")
+    assert b"worker process failed" not in done.stderr
+    if command == "synth":
+        assert not (tmp_path / "corpus").exists()
 
 
 LONG_INI = """
@@ -845,6 +890,17 @@ def test_manifest_fan_out_reaps_every_child_on_every_path(tmp_path, capsys, monk
     assert capsys.readouterr().err == (
         "error: worker process exited with status 7 before sending its results\n")
     no_child_left()
+
+    def interrupted(*args):  # in this process's own share, while the children work
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_reduce_file", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["features", str(manifest)])
+    assert capsys.readouterr() == ("", "")
+    no_child_left()
     monkeypatch.setattr(cli, "_reduce_file", real)
     forks, real_fork = [], os.fork
 
@@ -858,6 +914,28 @@ def test_manifest_fan_out_reaps_every_child_on_every_path(tmp_path, capsys, monk
     assert main(["features", str(manifest)]) == 2
     assert capsys.readouterr().err == "error: [Errno 11] Resource temporarily unavailable\n"
     no_child_left()
+
+
+def test_each_further_usable_cpu_forks_one_child(tmp_path, capsys, monkeypatch):
+    # one task and four files per cohort: features fans out its files, and
+    # compare its files and then its six rank tests
+    manifest = make_corpus(tmp_path)
+    forks, real_fork = [], os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    compare = ["compare", str(manifest), "--cohort-a", "control", "--cohort-b", "patient"]
+    for workers, features_forks, compare_forks in ((1, 0, 0), (2, 1, 2), (3, 2, 4)):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        for argv, expected in ((["features", str(manifest)], features_forks),
+                               (compare, compare_forks)):
+            forks.clear()
+            assert main(argv) == 0
+            assert len(forks) == expected, (argv[0], workers)
+            no_child_left()
 
 
 def test_render_svg(tmp_path, capsys):
@@ -1072,9 +1150,9 @@ def test_synth_refuses_a_spec_with_one_error_line_and_writes_nothing(tmp_path, c
 def test_usable_cpus_without_affinity_or_fork(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert cli._usable_cpus() == (3 if hasattr(os, "fork") else 1)
+    assert USABLE_CPUS() == (3 if hasattr(os, "fork") else 1)
     monkeypatch.delattr(os, "fork", raising=False)
-    assert cli._usable_cpus() == 1
+    assert USABLE_CPUS() == 1
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask")
