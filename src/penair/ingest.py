@@ -389,7 +389,8 @@ def load_manifest(text: str, base_dir: str | Path | None = None) -> tuple[Manife
     empty, and a blank line is skipped. Raises ManifestError for a NUL, a
     field over csv's field limit, a missing or misspelled header, a row with
     the wrong field count, an empty label, or a duplicate (database, task,
-    subject, path) combination. The error names a line, counted as csv counts
+    subject, path) combination, the paths compared as ``Path`` objects (so
+    ``./a.svc`` repeats ``a.svc``). The error names a line, counted as csv counts
     them (``"\\n"``, ``"\\r"`` and ``"\\r\\n"`` each end one): a NUL's own
     line, and for any other fault the first line of its record.
     """
@@ -409,7 +410,7 @@ def load_manifest(text: str, base_dir: str | Path | None = None) -> tuple[Manife
         )
     base = Path(base_dir) if base_dir is not None else None
     records: list[ManifestRecord] = []
-    seen: set[tuple[str, str, str, str]] = set()
+    seen: set[tuple[str, str, str, Path]] = set()
     for lineno, row in rows:
         if not row:
             continue
@@ -420,13 +421,14 @@ def load_manifest(text: str, base_dir: str | Path | None = None) -> tuple[Manife
         for name, value in zip(MANIFEST_HEADER, (path_str, database, task, subject, cohort)):
             if not value:
                 raise ManifestError(f"line {lineno}: empty {name}")
-        key = (database, task, subject, path_str)
-        if key in seen:
-            raise ManifestError(f"line {lineno}: duplicate record {key}")
-        seen.add(key)
         path = Path(path_str)
         if base is not None and not path.is_absolute():
             path = base / path
+        key = (database, task, subject, path)
+        if key in seen:
+            raise ManifestError(f"line {lineno}: duplicate record "
+                                f"{(database, task, subject, path_str)}")
+        seen.add(key)
         records.append(ManifestRecord(path, database, task, subject, cohort))
     return tuple(records)
 

@@ -7,10 +7,11 @@ U_A is exact. Two routes to a two-sided p-value:
   pooled values to the two groups, of a U at least as far from the null mean
   n_a * n_b / 2 as observed, as an exact rational. The null distribution
   comes from the shift algorithm of Streitberg & Roehmel (1986) on Python
-  integers. One integer per subset size k packs the counts per doubled
-  U-statistic (doubled rank sum minus k(k+1)) into slots as wide as
-  C(n, n_a) in bits; taking values of a tie group shifts it up, and sizes
-  that can no longer reach n_a are not updated.
+  integers. One integer per subset size k packs the counts per doubled rank
+  sum into slots as wide as C(n, n_a) in bits. Each pooled value, in
+  ascending order, adds the (k-1)-subset counts shifted by its doubled
+  midrank to the k-subset counts; sizes that can no longer reach n_a are not
+  updated.
 * approx_p: normal approximation with continuity correction 0.5 and the
   tie-corrected variance n_a*n_b/12 * ((N+1) - sum(t^3 - t) / (N * (N-1))).
 """
@@ -85,16 +86,16 @@ def _doubled_u_counts(sizes: tuple[int, ...], n_a: int) -> tuple[int, int]:
     """Null distribution of 2*U_A over all n_a-subsets of a pooled multiset,
     packed into one integer.
 
-    Only the tie-group sizes matter. Slot s of ``dp[k]``, ``slot`` bits wide,
-    counts the k-subsets of the groups so far whose doubled rank sum is
-    s + k(k+1), the smallest doubled sum k values can have; so slot s of
-    ``dp[n_a]`` is 2*U_A = s. A group of t values after ``before`` smaller
-    ones has doubled midrank 2*before + t + 1, so adding j of its values to a
-    (k-j)-subset, in C(t, j) ways, moves it j*(2*(before - k) + t + j) slots
-    up, never down since k - j <= before. Per group, k runs from high to low
-    so that dp[k - j] still lacks the group; an untied group shifts dp[k - 1]
-    without a multiply. Sizes k below n_a minus the values still to come can
-    no longer reach n_a; they are neither updated nor read again.
+    Only the tie-group sizes matter: they give each pooled value i, in
+    ascending order, its doubled midrank r[i] (a group of t values after
+    ``before`` smaller ones scores 2*before + t + 1). Slot s of ``dp[k]``,
+    ``slot`` bits wide, counts the k-subsets of the values so far whose
+    doubled rank sum is s + r[0] + ... + r[k-1], the smallest sum k values
+    can have. Value i joins every (k-1)-subset, moving it r[i] - r[k-1]
+    slots up, never down since i >= k - 1; k runs from high to low so that
+    dp[k - 1] still lacks value i. Choosing j of t equal values one at a
+    time counts their C(t, j) ways. Sizes k below n_a minus the values still
+    to come can no longer reach n_a; they are neither updated nor read again.
 
     Each k-subset a kept ``dp[k]`` counts extends to an n_a-subset of the
     pool, so its counts sum to at most C(n, n_a), whose bit length is the slot
@@ -102,22 +103,17 @@ def _doubled_u_counts(sizes: tuple[int, ...], n_a: int) -> tuple[int, int]:
     slot u2 of ``packed`` counts the subsets with doubled U_A = u2, for u2
     from 0 to 2*n_a*n_b; the counts sum to C(n, n_a).
     """
-    n = sum(sizes)
+    r: list[int] = []
+    for t in sizes:
+        r += [2 * len(r) + t + 1] * t
+    n = len(r)
     slot = comb(n, n_a).bit_length()
     dp = [1] + [0] * n_a
-    before = 0
-    for size in sizes:
-        after = before + size
-        for k in range(min(n_a, after), max(n_a - n + after, 1) - 1, -1):
-            if size == 1:
-                dp[k] += dp[k - 1] << (slot * 2 * (before - k + 1))
-                continue
-            acc = dp[k]
-            for j in range(max(k - before, 1), min(size, k) + 1):
-                acc += (dp[k - j] * comb(size, j)) << (slot * j * (2 * (before - k) + size + j))
-            dp[k] = acc
-        before = after
-    return dp[n_a], slot
+    for i, score in enumerate(r):
+        for k in range(min(n_a, i + 1), max(n_a - n + i + 1, 1) - 1, -1):
+            dp[k] += dp[k - 1] << slot * (score - r[k - 1])
+    # slot 0 of dp[n_a] sits at the sum of the n_a smallest scores; 2*U_A = 0 at n_a(n_a+1)
+    return dp[n_a] << slot * (sum(r[:n_a]) - n_a * (n_a + 1)), slot
 
 
 def exact_p(a: Sequence, b: Sequence, exact_limit: int = DEFAULT_EXACT_LIMIT) -> Fraction:

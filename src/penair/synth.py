@@ -328,7 +328,10 @@ def member_text(spec: CorpusSpec, master_seed: int, member: tuple[str, int]) -> 
         seed=file_seed(master_seed, f"{cohort_name}:{i}:session"),
         gap_factor=spec.gap_factor,
     )
-    stream, _ = generate_session(session)
+    try:
+        stream, _ = generate_session(session)
+    except SynthSpecError as exc:
+        raise SynthSpecError(f"{_member_stem(cohort_name, i)}.svc: {exc}") from None
     return serialize_session(stream)
 
 
@@ -441,7 +444,10 @@ def load_corpus_spec(text: str) -> CorpusSpec:
             raise SynthSpecError(f"[{section}] names cohort {name!r}, "
                                  "which an earlier section already named")
         plan = _read_section(parser, section, _COHORT_KEYS, _COHORT_KEYS)
-        cohorts[name] = CohortSpec(plan.pop("files"), PlanDistribution(**plan))
+        try:
+            cohorts[name] = CohortSpec(plan.pop("files"), PlanDistribution(**plan))
+        except SynthSpecError as exc:
+            raise SynthSpecError(f"[{section}]: {exc}") from None
     return CorpusSpec(nominal_period=corpus.pop("period"), cohorts=cohorts, **corpus)
 
 

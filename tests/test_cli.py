@@ -553,8 +553,9 @@ CONTRACT = {
                                  "error: [cohort  patient] names cohort 'patient', "
                                  "which an earlier section already named\n"),
     "synth_ambiguous_ground_truth": ("synth --spec ambiguous.ini --seed 1 --out c", 2, None,
-                                     "error: seed 15011141628560312956: sampling step 6 "
-                                     "crosses threshold 3; ground truth would be ambiguous\n"),
+                                     "error: c_000.svc: seed 15011141628560312956: "
+                                     "sampling step 6 crosses threshold 3; "
+                                     "ground truth would be ambiguous\n"),
 }
 
 

@@ -148,7 +148,10 @@ def test_doubled_u_counts_match_reference_slot_by_slot(profile):
 
 
 def test_doubled_u_counts_pinned_edges():
-    # n = 40 all distinct and split evenly is the widest packed integer above
+    # n = 40 all distinct and split evenly is the widest packed integer above;
+    # the last three have C(n, n_a) = 3, 15 and 3, each 2**slot - 1: their
+    # counts sum to a full slot
     for sizes, n_a in [((1,) * 40, 20), ((1,) * 40, 1), ((1,) * 40, 39), ((40,), 25),
-                       ((3, 1, 4, 1, 5), 9), ((2,) * 10, 13), ((1, 1), 1)]:
+                       ((3, 1, 4, 1, 5), 9), ((2,) * 10, 13), ((1, 1), 1),
+                       ((3,), 1), ((6,), 2), ((1, 2), 1)]:
         assert_counts_match_reference(sizes, n_a)

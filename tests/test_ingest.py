@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -235,11 +236,16 @@ def test_manifest_header_only_is_empty():
 
 
 def test_manifest_duplicate_rows_rejected():
-    text = ("path,database,task,subject,cohort\n"
-            "a.svc,db,sig,s01,control\n"
-            "a.svc,db,sig,s01,control\n")
-    with pytest.raises(ManifestError):
-        load_manifest(text)
+    # paths are compared as paths: ./a.svc is a.svc and sub//a.svc is sub/a.svc
+    for first, second in [("a.svc", "a.svc"), ("a.svc", "./a.svc"),
+                          ("sub/a.svc", "sub//a.svc")]:
+        text = ("path,database,task,subject,cohort\n"
+                f"{first},db,sig,s01,control\n"
+                f"{second},db,sig,s01,control\n")
+        with pytest.raises(ManifestError,
+                           match=re.escape(f"line 3: duplicate record ('db', 'sig', 's01', "
+                                           f"'{second}')")):
+            load_manifest(text)
 
 
 def test_manifest_bad_header():

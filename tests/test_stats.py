@@ -91,6 +91,9 @@ def test_exact_p_two_values():
 
 def test_exact_p_single_vs_pair():
     assert exact_p([3], [1, 2]) == Fraction(2, 3)
+    # deviation 1, and the two tails hold all C(3, 1) = 3 = 2**2 - 1 assignments:
+    # the tail sum fills its 2-bit slot
+    assert exact_p([5], [5, 0]) == 1
 
 
 def test_exact_p_returns_fraction():

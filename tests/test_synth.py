@@ -284,6 +284,26 @@ def test_load_corpus_spec_errors():
         load_corpus_spec("not ini at all [")
 
 
+def test_cohort_refusals_name_their_section():
+    cohort = ("files = 2\nsurface_strokes = 1..3\nsurface_ticks = 100..300\n"
+              "air_ticks = 50..150\ngaps = 0..2\ngap_ticks = 30..60\n")
+
+    def two_cohorts(second):
+        return f"[corpus]\nperiod = 2\n\n[cohort a]\n{cohort}\n[cohort b]\n{second}"
+
+    assert list(load_corpus_spec(two_cohorts(cohort)).cohorts) == ["a", "b"]
+    # each fault is in the second cohort only, so the message must say which
+    for key, bad, message in [
+        ("files = 2", "files = 0", "cohort needs at least one file, got 0"),
+        ("surface_strokes = 1..3", "surface_strokes = 0..8",
+         "plans need at least one on-surface stroke"),
+        ("gaps = 0..2", "gaps = -1..4", "gap count cannot be negative"),
+    ]:
+        with pytest.raises(SynthSpecError) as caught:
+            load_corpus_spec(two_cohorts(cohort.replace(key, bad)))
+        assert str(caught.value) == f"[cohort b]: {message}"
+
+
 def test_corpus_spec_needs_cohorts():
     with pytest.raises(SynthSpecError):
         CorpusSpec(nominal_period=2, jitter=0, cohorts={})

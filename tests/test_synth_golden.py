@@ -116,7 +116,7 @@ def test_cli_refuses_a_corpus_when_one_member_fails(tmp_path):
     real = synth.generate_session
     spec_path = tmp_path / "spec.ini"
     spec_path.write_text(SPEC.format(period=3, jitter=0), encoding="utf-8")
-    message = f"error: seed {first}: refused\n"
+    message = f"error: control_001.svc: seed {first}: refused\n"
     for refused in ({first}, {first, file_seed(1, "patient:0:session")}):
 
         def refuse(spec):
