@@ -1,17 +1,18 @@
 """Rank statistics for comparing feature distributions between two cohorts.
 
 Mann-Whitney U with midranks for ties, kept as integer doubled midranks so
-U_A is exact. Two routes to a two-sided p-value:
+U_A is exact; _doubled_u computes them, once per pool. Two routes to a
+two-sided p-value:
 
 * exact_p: the probability, over all C(n_a + n_b, n_a) assignments of the
   pooled values to the two groups, of a U at least as far from the null mean
   n_a * n_b / 2 as observed, as an exact rational. The null distribution
   comes from the shift algorithm of Streitberg & Roehmel (1986) on Python
-  integers. One integer per subset size k packs the counts per doubled rank
-  sum into slots as wide as C(n, n_a) in bits. Each pooled value, in
-  ascending order, adds the (k-1)-subset counts shifted by its doubled
-  midrank to the k-subset counts; sizes that can no longer reach n_a are not
-  updated.
+  integers, which counts the n_a-subsets of any ascending integer scores by
+  their sum. One integer per subset size k packs those counts into slots as
+  wide as C(n, n_a) in bits. Each score, in ascending order, adds the
+  (k-1)-subset counts shifted by it to the k-subset counts; sizes that can
+  no longer reach n_a are not updated. exact_p feeds it the doubled midranks.
 * approx_p: normal approximation with continuity correction 0.5 and the
   tie-corrected variance n_a*n_b/12 * ((N+1) - sum(t^3 - t) / (N * (N-1))).
 """
@@ -53,67 +54,59 @@ class RankTestResult(namedtuple("RankTestResult", "task feature u p method signi
     __slots__ = ()
 
 
-def _doubled_u(a: Sequence, b: Sequence) -> tuple[int, tuple[int, ...]]:
-    """2*U_A = 2*R_A - n_a(n_a+1), exact, and the pooled tie profile: the
-    tie-group sizes in ascending value order (untied values are groups of
-    size 1). A group of t values after ``offset`` smaller ones has doubled
-    midrank 2*offset + t + 1."""
+def _doubled_u(a: Sequence, b: Sequence) -> tuple[int, list[int]]:
+    """2*U_A = 2*R_A - n_a(n_a+1), exact, and every pooled value's doubled
+    midrank in ascending order: a tie group of t values after ``before``
+    smaller ones scores 2*before + t + 1."""
     n_a = len(a)
     if n_a < 1 or len(b) < 1:
         raise ValueError("both groups need at least one value")
     pooled = list(a) + list(b)
     order = sorted(range(len(pooled)), key=pooled.__getitem__)
-    r2_a = offset = 0
-    sizes = []
+    scores: list[int] = []
     for _, group in groupby(order, key=pooled.__getitem__):
-        members = list(group)
-        t = len(members)
-        r2_a += sum(i < n_a for i in members) * (2 * offset + t + 1)
-        sizes.append(t)
-        offset += t
-    return r2_a - n_a * (n_a + 1), tuple(sizes)
+        t = len(list(group))
+        scores += [2 * len(scores) + t + 1] * t
+    r2_a = sum(score for score, i in zip(scores, order) if i < n_a)
+    return r2_a - n_a * (n_a + 1), scores
 
 
 def mann_whitney_u(a: Sequence, b: Sequence) -> UStat:
     """U for both groups via the rank-sum formula U_A = R_A - n_a(n_a+1)/2."""
-    u2, sizes = _doubled_u(a, b)
+    u2, scores = _doubled_u(a, b)
     n_a, n_b = len(a), len(b)
     u_a = u2 / 2
+    # tie groups have distinct doubled midranks, so equal scores are one group
+    sizes = tuple(len(list(run)) for _, run in groupby(scores))
     return UStat(u_a=u_a, u_b=n_a * n_b - u_a, n_a=n_a, n_b=n_b, tie_profile=sizes)
 
 
-def _doubled_u_counts(sizes: tuple[int, ...], n_a: int) -> tuple[int, int]:
-    """Null distribution of 2*U_A over all n_a-subsets of a pooled multiset,
+def _subset_sum_counts(scores: Sequence[int], n_a: int) -> tuple[int, int]:
+    """How many n_a-subsets of ``scores``, ascending integers, have each sum,
     packed into one integer.
 
-    Only the tie-group sizes matter: they give each pooled value i, in
-    ascending order, its doubled midrank r[i] (a group of t values after
-    ``before`` smaller ones scores 2*before + t + 1). Slot s of ``dp[k]``,
-    ``slot`` bits wide, counts the k-subsets of the values so far whose
-    doubled rank sum is s + r[0] + ... + r[k-1], the smallest sum k values
-    can have. Value i joins every (k-1)-subset, moving it r[i] - r[k-1]
-    slots up, never down since i >= k - 1; k runs from high to low so that
-    dp[k - 1] still lacks value i. Choosing j of t equal values one at a
-    time counts their C(t, j) ways. Sizes k below n_a minus the values still
-    to come can no longer reach n_a; they are neither updated nor read again.
+    Slot s of ``dp[k]``, ``slot`` bits wide, counts the k-subsets of the
+    scores so far whose sum is s + scores[0] + ... + scores[k-1], the
+    smallest sum k of them can have. Score i joins every (k-1)-subset,
+    moving it scores[i] - scores[k-1] slots up, never down since i >= k - 1;
+    k runs from high to low so that dp[k - 1] still lacks score i. Choosing
+    j of t equal scores one at a time counts their C(t, j) ways. Sizes k
+    below n_a minus the scores still to come can no longer reach n_a; they
+    are neither updated nor read again.
 
-    Each k-subset a kept ``dp[k]`` counts extends to an n_a-subset of the
-    pool, so its counts sum to at most C(n, n_a), whose bit length is the slot
-    width: no count ever spills into the next slot. Returns (packed, slot):
-    slot u2 of ``packed`` counts the subsets with doubled U_A = u2, for u2
-    from 0 to 2*n_a*n_b; the counts sum to C(n, n_a).
+    Each k-subset a kept ``dp[k]`` counts extends to an n_a-subset, so its
+    counts sum to at most C(n, n_a), whose bit length is the slot width: no
+    count ever spills into the next slot. Returns (packed, slot): slot s of
+    ``packed`` counts the n_a-subsets whose sum is s + sum(scores[:n_a]);
+    the counts sum to C(n, n_a).
     """
-    r: list[int] = []
-    for t in sizes:
-        r += [2 * len(r) + t + 1] * t
-    n = len(r)
+    n = len(scores)
     slot = comb(n, n_a).bit_length()
     dp = [1] + [0] * n_a
-    for i, score in enumerate(r):
+    for i, score in enumerate(scores):
         for k in range(min(n_a, i + 1), max(n_a - n + i + 1, 1) - 1, -1):
-            dp[k] += dp[k - 1] << slot * (score - r[k - 1])
-    # slot 0 of dp[n_a] sits at the sum of the n_a smallest scores; 2*U_A = 0 at n_a(n_a+1)
-    return dp[n_a] << slot * (sum(r[:n_a]) - n_a * (n_a + 1)), slot
+            dp[k] += dp[k - 1] << slot * (score - scores[k - 1])
+    return dp[n_a], slot
 
 
 def exact_p(a: Sequence, b: Sequence, exact_limit: int = DEFAULT_EXACT_LIMIT) -> Fraction:
@@ -123,7 +116,7 @@ def exact_p(a: Sequence, b: Sequence, exact_limit: int = DEFAULT_EXACT_LIMIT) ->
     in the pooled multiset. Raises ExactSizeError when n_a + n_b exceeds
     ``exact_limit``.
     """
-    u2, sizes = _doubled_u(a, b)
+    u2, scores = _doubled_u(a, b)
     n_a, n_b = len(a), len(b)
     n = n_a + n_b
     if n > exact_limit:
@@ -132,7 +125,9 @@ def exact_p(a: Sequence, b: Sequence, exact_limit: int = DEFAULT_EXACT_LIMIT) ->
     deviation = abs(u2 - center)
     if deviation == 0:  # every assignment counts; the tails below would overlap
         return Fraction(1)
-    packed, slot = _doubled_u_counts(sizes, n_a)
+    packed, slot = _subset_sum_counts(scores, n_a)
+    # slot 0 sits at the n_a smallest scores' sum; move it to 2*U_A = 0, a sum of n_a(n_a+1)
+    packed <<= slot * (sum(scores[:n_a]) - n_a * (n_a + 1))
     # Lay the upper tail (slots center + deviation .. 2*center) onto the lower
     # one (slots 0 .. center - deviation), then fold the upper half of the
     # slots onto the lower half until one is left. No slot carries: the sum

@@ -292,6 +292,9 @@ class CorpusSpec(Frozen):
             if longest > 255:
                 raise SynthSpecError(f"cohort {name!r}: a file name of {longest} bytes "
                                      "is over the limit of 255")
+        # the shared timing first, so that its refusal names no cohort
+        SynthSpec(self.nominal_period, self.jitter, ((StrokeClass.ON_SURFACE, 1),), 0,
+                  self.gap_factor)
         # each range's smallest draw, so that no seed can draw an entry SynthSpec refuses
         for name, cohort in self.cohorts.items():
             dist = cohort.plan

@@ -10,7 +10,7 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
-from penair import cli
+from penair import SynthSpecError, cli, load_corpus_spec
 from penair.cli import main
 from penair.ingest import MANIFEST_HEADER, csv_text
 
@@ -202,6 +202,23 @@ def test_synth_refuses_the_common_flags_it_would_ignore(tmp_path, capsys, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("timing", ["period = 0", "period = 2\njitter = 2",
+                                    "period = 2\ngap_factor = 1",
+                                    "period = 2\njitter = 1\ngap_factor = 1.2"],
+                         ids=["period", "jitter", "gap_factor", "blur"])
+def test_synth_timing_refusal_names_no_cohort(tmp_path, capsys, timing):
+    # the [corpus] timing is shared by both cohorts; the first is not to blame
+    text = CORPUS_INI.replace("period = 2\njitter = 1", timing)
+    with pytest.raises(SynthSpecError) as caught:
+        load_corpus_spec(text)
+    assert "cohort" not in str(caught.value)
+    spec, out = tmp_path / "corpus.ini", tmp_path / "out"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["synth", "--spec", str(spec), "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {caught.value}\n")
     assert not out.exists()
 
 

@@ -24,10 +24,10 @@ from oracles import enumerated_p, pairwise_u
 
 def doubled_midranks(values):
     """Twice each value's midrank in the pool ``values``, so tied ranks stay
-    integers, and the pool's tie profile, read off _doubled_u with the value
-    alone in group A: its doubled U is its doubled midrank minus 2."""
-    runs = [_doubled_u([v], values[:i] + values[i + 1:]) for i, v in enumerate(values)]
-    return [u2 + 2 for u2, _ in runs], runs[0][1]
+    integers, read off _doubled_u with the value alone in group A (its
+    doubled U is its doubled midrank minus 2), and the pool's tie profile."""
+    ranks = [_doubled_u([v], values[:i] + values[i + 1:])[0] + 2 for i, v in enumerate(values)]
+    return ranks, mann_whitney_u(values[:1], values[1:]).tie_profile
 
 
 def test_midranks_no_ties():
@@ -70,6 +70,21 @@ def test_u_complement_identity():
         u = mann_whitney_u(a, b)
         assert u.u_a + u.u_b == n_a * n_b
         assert u.u_a == pairwise_u(a, b)
+
+
+def test_tie_profile_is_run_lengths_of_sorted_pool():
+    # a tuple, since callers hash it
+    rng = random.Random(20032)
+    for _ in range(300):
+        top = rng.choice([1, 3, 50])
+        a = [rng.randint(-top, top) for _ in range(rng.randint(1, 12))]
+        b = [rng.randint(-top, top) for _ in range(rng.randint(1, 12))]
+        pool = sorted(a + b)
+        starts = [i for i in range(len(pool)) if i == 0 or pool[i] != pool[i - 1]]
+        runs = [end - start for start, end in zip(starts, starts[1:] + [len(pool)])]
+        profile = mann_whitney_u(a, b).tie_profile
+        assert type(profile) is tuple
+        assert profile == tuple(runs)
 
 
 def test_u_requires_values():

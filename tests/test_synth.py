@@ -390,6 +390,20 @@ def test_spec_refusals_name_their_section(old, new, message):
         load_corpus_spec(SPEC_INI.replace(old, new))
 
 
+@pytest.mark.parametrize("timing, message", [
+    ("period = 0", "nominal_period must be >= 1, got 0"),
+    ("period = 2\njitter = 2", "jitter must be in [0, period), got 2"),
+    ("period = 2\ngap_factor = 1", "gap_factor must be > 1, got 1"),
+    ("period = 2\njitter = 1\ngap_factor = 1.2",
+     "jitter 1 could blur gap detection: need period + jitter <= gap_factor * (period - jitter)"),
+], ids=["period", "jitter", "gap_factor", "blur"])
+def test_corpus_timing_refusal_names_no_cohort(timing, message):
+    # the [corpus] timing is shared by every cohort, so no cohort is to blame
+    with pytest.raises(SynthSpecError) as caught:
+        load_corpus_spec(SPEC_INI.replace("period = 2\njitter = 1", timing))
+    assert str(caught.value) == message
+
+
 def test_two_sections_may_not_name_one_cohort():
     # the section name is stripped, so [cohort  c] names cohort c again; the
     # later section must not silently replace the earlier one
