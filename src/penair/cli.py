@@ -49,7 +49,7 @@ from .report import (
     render_time_table,
     render_trajectories,
 )
-from .segmentation import SegmentationConfig, segment, status_changes
+from .segmentation import SegmentationConfig, as_fraction, segment, status_changes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,10 +79,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return as_fraction(text)
+    except ValueError as exc:
         # argparse prints this type's message but reports a ValueError as "invalid _fraction value"
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,8 @@ intervals form strokes, which tile [t_first, t_last] exactly.
 
 from __future__ import annotations
 
+import re
+import sys
 from collections import Counter, namedtuple
 from enum import Enum
 from fractions import Fraction
@@ -26,10 +28,28 @@ from .ingest import SampleStream
 def as_fraction(value) -> Fraction:
     """Exact rational for a config value. Floats go through their decimal
     repr, so 0.7 means 7/10 and 4.35 means 87/20, not the nearest binary
-    double."""
+    double.
+
+    Text means the same on every supported Python: it is stripped and read by
+    Python 3.10's Fraction grammar, so ``_`` and inner whitespace, which
+    later versions accept, are refused. So is an exponent above
+    sys.get_int_max_str_digits(), as Fraction would compute ten to its power
+    in full. Refused text is a ValueError."""
     if isinstance(value, float):
         return Fraction(str(value))
-    return Fraction(value)
+    if not isinstance(value, str):
+        return Fraction(value)
+    text = value.strip()
+    if "_" in text or text.split() != [text]:
+        raise ValueError(f"not a number: {value!r}")
+    limit = sys.get_int_max_str_digits()
+    if limit and (exponent := re.search(r"[eE][-+]?(\d+)\Z", text)) and (
+            len(exponent[1]) > limit or int(exponent[1]) > limit):
+        raise ValueError(f"exponent of {value!r} exceeds the integer digit limit of {limit}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a number: {value!r}") from None
 
 
 class StrokeClass(Enum):

@@ -1,7 +1,9 @@
 """Rank statistics for comparing feature distributions between two cohorts.
 
 Mann-Whitney U with midranks for ties, kept as integer doubled midranks so
-U_A is exact; _doubled_u computes them, once per pool. Two routes to a
+U_A is exact; _doubled_u computes them. On the exact path compare_cohorts
+ranks each pool twice, in mann_whitney_u and again in exact_p, because
+bench/trace_child.py times and counts the two by name. Two routes to a
 two-sided p-value:
 
 * exact_p: the probability, over all C(n_a + n_b, n_a) assignments of the
@@ -116,11 +118,11 @@ def exact_p(a: Sequence, b: Sequence, exact_limit: int = DEFAULT_EXACT_LIMIT) ->
     in the pooled multiset. Raises ExactSizeError when n_a + n_b exceeds
     ``exact_limit``.
     """
-    u2, scores = _doubled_u(a, b)
     n_a, n_b = len(a), len(b)
     n = n_a + n_b
     if n > exact_limit:
         raise ExactSizeError(f"pooled size {n} exceeds exact limit {exact_limit}")
+    u2, scores = _doubled_u(a, b)
     center = n_a * n_b  # doubled null mean
     deviation = abs(u2 - center)
     if deviation == 0:  # every assignment counts; the tails below would overlap
@@ -176,10 +178,14 @@ def compare_cohorts(
     empty, naming its cohort when its vectors are labeled and saying whether
     it has no file for the task or only anomalous ones.
     """
-    xs = _extract(features_a, task, feature)
-    ys = _extract(features_b, task, feature)
-    if not xs or not ys:
-        raise EmptyCohortError(_empty_side(features_b if xs else features_a, task))
+    sides = []
+    for vectors in (features_a, features_b):
+        files = [v for v in vectors if v.source is None or v.source.task == task]
+        values = [v.value(feature) for v in files if not v.anomalous]
+        if not values:
+            raise EmptyCohortError(_empty_side(vectors, files, task))
+        sides.append(values)
+    xs, ys = sides
     u = mann_whitney_u(xs, ys)
     if len(xs) + len(ys) <= exact_limit:
         p: Fraction | float = exact_p(xs, ys, exact_limit)
@@ -197,20 +203,8 @@ def compare_cohorts(
     )
 
 
-def _extract(vectors: Sequence[FeatureVector], task: str, feature: Feature) -> list[int]:
-    out = []
-    for v in vectors:
-        if v.anomalous:
-            continue
-        if v.source is not None and v.source.task != task:
-            continue
-        out.append(v.value(feature))
-    return out
-
-
-def _empty_side(vectors: Sequence[FeatureVector], task: str) -> str:
-    # why a side has no values for task: no file for it, or only anomalous ones
-    files = [v for v in vectors if v.source is None or v.source.task == task]
+def _empty_side(vectors: Sequence[FeatureVector], files: list[FeatureVector], task: str) -> str:
+    # why a side with these files for task has no values: no file, or only anomalous ones
     cohorts = {v.source.cohort for v in vectors if v.source is not None}
     side = f"cohort {cohorts.pop()!r}" if len(cohorts) == 1 else "a cohort"
     if not files:

@@ -27,7 +27,7 @@ from .errors import ManifestError, SynthSpecError
 from .frozen import Frozen
 from .ingest import (MANIFEST_HEADER, SampleStream, csv_text, load_manifest, read_text,
                      serialize_session)
-from .segmentation import SegmentationConfig, StrokeClass, class_totals, segment
+from .segmentation import SegmentationConfig, StrokeClass, as_fraction, class_totals, segment
 
 
 def file_seed(master_seed: int, label: str) -> int:
@@ -380,7 +380,7 @@ def _parse_range(raw: str) -> IntRange:
 
 
 # The keys each section may hold and the function that reads each value.
-_CORPUS_KEYS = {"period": int, "jitter": int, "gap_factor": Fraction,
+_CORPUS_KEYS = {"period": int, "jitter": int, "gap_factor": as_fraction,
                 "database": str.strip, "task": str.strip}
 _COHORT_KEYS = {"files": int, **dict.fromkeys(PlanDistribution._fields, _parse_range)}
 
@@ -396,7 +396,7 @@ def _read_section(parser: ConfigParser, section: str, readers: dict, required) -
         raise SynthSpecError(f"[{section}] missing {', '.join(missing)}")
     try:
         return {key: readers[key](value) for key, value in values.items()}
-    except (ValueError, ZeroDivisionError, SynthSpecError) as exc:
+    except (ValueError, SynthSpecError) as exc:
         raise SynthSpecError(f"[{section}]: {exc}") from None
 
 

@@ -97,12 +97,24 @@ def test_bad_flag_value_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--gap-factor", "--anomaly-threshold"])
-@pytest.mark.parametrize("value", ["abc", "1/0"])
+@pytest.mark.parametrize("value", ["abc", "1/0", "3_0", "3 / 2"])
 def test_unreadable_fraction_flag_says_not_a_number(tmp_path, capsys, flag, value):
     assert main(["segment", str(write_session(tmp_path)), flag, value]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"error: argument {flag}: not a number: {value!r}\n")
+
+
+def test_fraction_flag_exponent_over_digit_limit_is_refused(tmp_path, capsys):
+    # Fraction computes ten to the exponent in full; 1e10000000 took seconds
+    path = str(write_session(tmp_path))
+    assert main(["segment", path, "--gap-factor", "1e4300"]) == 0
+    capsys.readouterr()
+    for value in ("1e4301", "1e10000000"):
+        assert main(["segment", path, "--gap-factor", value]) == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --gap-factor: exponent of {value!r} exceeds the integer digit "
+            "limit of 4300\n")
 
 
 def test_parse_reports_summary(tmp_path, capsys):

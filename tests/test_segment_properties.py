@@ -1,10 +1,14 @@
-"""Hypothesis properties of ``segment`` on generated columns."""
+"""Hypothesis properties of ``segment`` on generated columns, and of the
+rational reader behind its ``gap_factor``."""
 
+import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from math import floor
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from penair import (
@@ -19,6 +23,7 @@ from penair import (
     nominal_period,
     segment,
 )
+from penair.segmentation import as_fraction
 
 
 @st.composite
@@ -202,3 +207,29 @@ def test_swapping_cohorts_swaps_u_and_keeps_p_and_verdict(side_a, side_b, factor
     ba = compare_cohorts(b, a, "t", feature, exact_limit)
     assert (ba.p, ba.significant, ba.method) == (ab.p, ab.significant, ab.method)
     assert (ba.u.u_a, ba.u.u_b, ba.u.n_a, ba.u.n_b) == (ab.u.u_b, ab.u.u_a, ab.u.n_b, ab.u.n_a)
+
+
+# Fraction's grammar on Python 3.10, written out: later versions also accept
+# "_" between digits (3.11) and whitespace around "/" (3.12)
+_FRACTION_310 = re.compile(r"""
+    \A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*)
+    (?:(?:/(?P<denom>\d+))?|(?:\.(?P<decimal>\d*))?(?:E(?P<exp>[-+]?\d+))?)
+    \s*\Z""", re.VERBOSE | re.IGNORECASE)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(alphabet="0123456789+-./eE_ \t\u0663", max_size=10))
+@example("3_0")
+@example(" 3 / 2 ")
+@example("\u0663e-2")
+@example("1/0")
+def test_rational_text_reads_by_python_310_grammar(text):
+    # the same text is the same rational, or refused, on every supported Python
+    match = _FRACTION_310.match(text)
+    limit = sys.get_int_max_str_digits()
+    if (match and int(match["denom"] or 1) != 0
+            and not (limit and match["exp"] and abs(int(match["exp"])) > limit)):
+        assert as_fraction(text) == Fraction(text)
+    else:
+        with pytest.raises(ValueError):
+            as_fraction(text)

@@ -81,6 +81,10 @@ def test_config_validation():
         SegmentationConfig(gap_factor=1.0)
     with pytest.raises(ValueError):
         SegmentationConfig(min_gap_ticks=0)
+    # text means what it means on Python 3.10, whose Fraction refuses these
+    for text in ("3_0", "3 / 2", "1e4301"):
+        with pytest.raises(ValueError):
+            SegmentationConfig(gap_factor=text)
 
 
 def test_all_surface_run_is_one_stroke():

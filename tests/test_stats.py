@@ -151,6 +151,9 @@ def test_exact_p_size_limit():
     with pytest.raises(ExactSizeError):
         exact_p(a, b)
     assert exact_p(a, b, exact_limit=22) < Fraction(1, 1000)
+    # refused before it is ranked: values that cannot be sorted never reach the sort
+    with pytest.raises(ExactSizeError):
+        exact_p([1j] * 11, [2j] * 11)
 
 
 def test_approx_p_at_null_mean():
@@ -198,8 +201,8 @@ def test_significance_level_is_strict():
     assert Fraction(49, 1000) < ALPHA
 
 
-def labeled(value, task="sig", anomalous=False):
-    source = ManifestRecord(Path("x.svc"), "db", task, "s", "c")
+def labeled(value, task="sig", anomalous=False, cohort="c"):
+    source = ManifestRecord(Path("x.svc"), "db", task, "s", cohort)
     return FeatureVector(value, 0, 0, 1, 0, 0, anomalous, source)
 
 
@@ -247,3 +250,27 @@ def test_compare_empty_side():
         compare_cohorts(a, b, "sig", Feature.TIME_ON_SURFACE)
     with pytest.raises(EmptyCohortError):
         compare_cohorts(b, b, "other_task", Feature.TIME_ON_SURFACE)
+
+
+def unlabeled(value, anomalous=False):
+    return FeatureVector(value, 0, 0, 1, 0, 0, anomalous)
+
+
+@pytest.mark.parametrize("a, b, message", [
+    ([labeled(1)], [labeled(2, task="sig")], "task 't': cohort 'c' has no file for it"),
+    ([labeled(1, task="t")],
+     [labeled(2, task="t", anomalous=True), labeled(3, task="t", anomalous=True), labeled(4)],
+     "task 't': cohort 'c' is empty after anomaly exclusion: all 2 of its files are anomalous"),
+    ([unlabeled(1, anomalous=True)], [unlabeled(2)],
+     "task 't': a cohort is empty after anomaly exclusion: all 1 of its files are anomalous"),
+    ([], [unlabeled(2)], "task 't': a cohort has no file for it"),
+    ([labeled(1, cohort="ca")], [labeled(2, cohort="cb")],
+     "task 't': cohort 'ca' has no file for it"),
+    ([labeled(1, task="t", anomalous=True, cohort="ca")], [labeled(2, cohort="cb")],
+     "task 't': cohort 'ca' is empty after anomaly exclusion: all 1 of its files are anomalous"),
+], ids=["no-file", "all-anomalous", "unlabeled", "unlabeled-none", "both-empty",
+        "both-empty-anomalous"])
+def test_compare_empty_side_message(a, b, message):
+    with pytest.raises(EmptyCohortError) as info:
+        compare_cohorts(a, b, "t", Feature.TIME_ON_SURFACE)
+    assert str(info.value) == message

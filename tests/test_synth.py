@@ -382,6 +382,9 @@ gap_ticks = 40..100
     ("100..300", "x", r"^\[cohort c\]: bad range 'x' \(want N or LO\.\.HI\)$"),
     ("100..300", "5..3", r"^\[cohort c\]: empty range 5\.\.3$"),
     ("jitter = 1", "jitter = one", r"^\[corpus\]: invalid literal for int\(\)"),
+    ("jitter = 1", "jitter = 1\ngap_factor = 3_0", r"^\[corpus\]: not a number: '3_0'$"),
+    ("jitter = 1", "jitter = 1\ngap_factor = 1e4301",
+     r"^\[corpus\]: exponent of '1e4301' exceeds the integer digit limit of 4300$"),
 ])
 def test_spec_refusals_name_their_section(old, new, message):
     # the synth CLI tests hold an unknown key in each section and [DEFAULT] with keys
