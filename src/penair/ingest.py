@@ -15,7 +15,10 @@ a form feed, U+0085 and U+2028 end a row too. An integer field with more
 digits than ``sys.get_int_max_str_digits()`` is a ParseError naming its digit
 count and the limit.
 
-Text is read a block of some thousand lines at a time. A block whose byte
+A file is read a block of bytes at a time, some thousand lines each, and
+its text is never held whole; a str is parsed in blocks of as many
+characters. An ASCII block of a file stays bytes, its ``"\\r\\n"`` and
+``"\\r"`` line ends made ``"\\n"``, and any other is decoded. A block whose byte
 skeleton, what is left once the digits and ``-`` are deleted, shows
 ``width`` fields on every line (``width - 1`` spaces, then ``"\\n"``) is
 read by the JSON scanner, in C, as one flat array of the block's fields,
@@ -37,6 +40,7 @@ that penair writes, manifests and tables alike.
 
 Bytes that are not UTF-8 are a ParseError in a sample file and a
 ManifestError in a manifest; the message names the file and the byte offset.
+In a sample file that error comes before any row's, wherever the bad byte is.
 """
 
 from __future__ import annotations
@@ -221,9 +225,9 @@ class ParseOptions(Frozen):
     derive_status_from_pressure: bool = False
 
 
-# Text is parsed a block of about this many characters (some thousand rows)
-# at a time: read as one flat JSON array where _scanned_columns can and the
-# rows break no rule, else line by line.
+# A recording is parsed a block of about this many characters of a str, or
+# bytes of a file (some thousand rows), at a time: read as one flat JSON array
+# where _scanned_columns can and the rows break no rule, else line by line.
 _BLOCK_CHARS = 32768
 
 # the characters of a field of serialize_session's subset, "-?[0-9]+"
@@ -232,10 +236,11 @@ _FIELD_CHARS = b"0123456789-"
 _COMMAS = bytes.maketrans(b" \n", b",,")
 
 
-def _scanned_columns(chunk: str, width: int | None = None) -> list[list[int]] | None:
+def _scanned_columns(chunk: str | bytes, width: int | None = None) -> list[list[int]] | None:
     """The columns of ``chunk``, lines that each end in ``"\\n"`` but maybe
     the last, read by the JSON scanner if every line holds ``width`` fields
     (the first line's count if None) in serialize_session's subset; else None.
+    A bytes chunk is ASCII.
 
     Deleting the fields' characters, digits and ``-``, leaves a line of the
     subset as ``width - 1`` spaces and its line end, so one comparison of the
@@ -248,10 +253,13 @@ def _scanned_columns(chunk: str, width: int | None = None) -> list[list[int]] | 
     """
     import json  # only a command that parses a recording loads it
 
+    if isinstance(chunk, bytes):
+        raw = chunk
     # isascii first: a lone surrogate, which a caller's str may hold, cannot be encoded
-    if not chunk.isascii():
+    elif chunk.isascii():
+        raw = chunk.encode("ascii")
+    else:
         return None
-    raw = chunk.encode("ascii")
     if not raw.endswith(b"\n"):  # the file's last line, unterminated
         raw += b"\n"
     skeleton = raw.translate(None, _FIELD_CHARS)
@@ -290,16 +298,28 @@ def parse_session(
     in a stream built without them; with ``derive_status_from_pressure`` such
     a file is a ParseError naming ``source_id``.
     """
+    return _parse_blocks(_text_blocks(text), options, source_id)
+
+
+def _text_blocks(text: str) -> Iterator[str]:
+    # cut just after a "\n", so the blocks' splitlines() adds up to the text's
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos + _BLOCK_CHARS) + 1 or len(text)
+        yield text[pos:end]
+        pos = end
+
+
+def _parse_blocks(blocks: Iterable[str | bytes], options: ParseOptions | None,
+                  source_id: str) -> SampleStream:
+    """parse_session of the text that ``blocks`` make up, each ending just
+    after a ``"\\n"`` but the last; a bytes block is ASCII."""
     opts = options or ParseOptions()
     width = last_t = None
     lineno = 0  # lines read so far: the next one is line lineno + 1
     columns: list[list[int]] = [[] for _ in COLUMNS]
     warnings: list[ParseWarning] = []
-    pos = 0
-    while pos < len(text):
-        # cut just after a "\n", so the blocks' splitlines() adds up to the text's
-        end = text.find("\n", pos + _BLOCK_CHARS) + 1 or len(text)
-        chunk, pos = text[pos:end], end
+    for chunk in blocks:
         block = _scanned_columns(chunk, width)
         if block is not None and len(block) in (4, 7) and _follows_rules(
                 block[2], block[3], block[6] if len(block) == 7 else (), last_t):
@@ -308,6 +328,8 @@ def parse_session(
             width, last_t = len(block), block[2][-1]
             lineno += len(block[2])
             continue
+        if isinstance(chunk, bytes):
+            chunk = chunk.decode("ascii")
         # read row by row, so every diagnostic is the row reader's, in its order
         for line in chunk.splitlines():
             lineno += 1
@@ -360,10 +382,45 @@ def read_text(path: Path, error: type[Exception], newline: str | None = None) ->
         raise error(f"{path}: not UTF-8 text: byte {offset}: {exc.reason}") from None
 
 
+def _file_blocks(file, path: Path) -> Iterator[str | bytes]:
+    """The text of a recording ``file`` opened ``"rb"``, a block at a time:
+    about _BLOCK_CHARS bytes, then the rest of their line. An ASCII block
+    stays bytes, any other is decoded; one that is not UTF-8 raises
+    read_text's ParseError. Parsed, the blocks give what read_text's text gives."""
+    offset = 0  # the file's bytes before the block
+    while raw := file.read(_BLOCK_CHARS) + file.readline():
+        block = raw
+        # a byte order mark, or a file that is only part of one, as utf-8-sig reads it
+        if not offset and codecs.BOM_UTF8.startswith(raw[:3]):
+            block = raw[3:]
+        if not block.isascii():
+            try:
+                block = block.decode("utf-8")
+            except UnicodeDecodeError as exc:  # the offset counts a byte order mark
+                raise ParseError(f"{path}: not UTF-8 text: byte "
+                                 f"{offset + len(raw) - len(block) + exc.start}: "
+                                 f"{exc.reason}") from None
+        elif b"\r" in block:
+            # universal newlines, so that the JSON scanner reads a CRLF file; the
+            # line reader, which reads any other block, splits lines at "\r" too
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        offset += len(raw)
+        yield block
+
+
 def read_session(path: str | Path, options: ParseOptions | None = None) -> SampleStream:
-    """Read and parse one recording file."""
+    """Read and parse one recording file, a block at a time: its text is
+    never held whole. The outcome is parse_session's of read_text's text."""
     p = Path(path)
-    return parse_session(read_text(p, ParseError), options, source_id=str(p))
+    with open(p, "rb") as file:
+        blocks = _file_blocks(file, p)
+        try:
+            return _parse_blocks(blocks, options, str(p))
+        except ParseError:
+            # a file that is not UTF-8 is refused before any of its rows is read
+            for _ in blocks:
+                pass
+            raise
 
 
 def serialize_session(stream: SampleStream) -> str:

@@ -10,7 +10,7 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
-from penair import SynthSpecError, cli, load_corpus_spec
+from penair import SynthSpecError, cli, ingest, load_corpus_spec
 from penair.cli import main
 from penair.ingest import MANIFEST_HEADER, csv_text
 
@@ -877,9 +877,10 @@ def test_single_file_commands_same_bytes_for_any_worker_count(tmp_path, capsys):
         assert capsys.readouterr() == ("", to_stdout.err)
         assert to_stdout.out and out.read_bytes() == to_stdout.out.encode()
         assert to_stdout.err.count("WARN ") == 5 and len(to_stdout.err.splitlines()) == 5
-    # the JSON scanner refuses a CRLF and a tab-separated copy, so the line
-    # reader reads each, to the same bytes and warnings; a copy without the
-    # repeated rows is all scanned, to the same bytes and no warning
+    # a CRLF copy is read with "\n" line ends, as the file itself: only a block
+    # holding a repeated row leaves the JSON scanner. Of a tab-separated copy,
+    # the line reader reads every block. Each copy gives the same bytes and
+    # warnings, and a copy without the repeated rows is all scanned, to no warning
     text = path.read_text(encoding="utf-8")
     for copy, warns in ((text.replace("\n", "\r\n"), True), (text.replace(" ", "\t"), True),
                         ("".join(dict.fromkeys(text.splitlines(keepends=True))), False)):
@@ -1049,6 +1050,25 @@ def test_undecodable_files_exit_two_naming_file_and_byte(tmp_path, capsys, monke
         assert captured.err == (
             f"error: {path}: not UTF-8 text: byte {offset}: invalid start byte\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_bad_byte_beats_an_earlier_faulty_row(tmp_path, capsys):
+    # a file that is not UTF-8 is refused before any of its rows is read: a
+    # non-integer field or a repeated timestamp on line 2 neither wins nor warns
+    rows = [f"{i % 7} {i % 5} {i + 1} {i % 2} 0 0 {i % 3}\n" for i in range(6000)]
+    offset = 3 * ingest._BLOCK_CHARS + 200  # three blocks past the first
+    path = tmp_path / "rec.svc"
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(manifest_text("rec.svc,db,copy,s0,control"), encoding="utf-8")
+    for line_2 in ("1 x 2 1 0 0 1\n", "1 1 1 1 0 0 1\n"):
+        data = "".join(rows[:1] + [line_2] + rows[2:]).encode("ascii")
+        assert len(data) > offset
+        path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+        for argv in (["parse", str(path)], ["segment", str(path)], ["render", str(path)],
+                     ["features", str(manifest)]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == (
+                "", f"error: {path}: not UTF-8 text: byte {offset}: invalid start byte\n")
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
+import codecs
 import csv
 import io
 import random
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -189,6 +191,23 @@ def test_read_session_strips_bom(tmp_path):
     stream = read_session(path)
     assert len(stream.samples) == 1
     assert stream.source_id == str(path)
+
+
+def test_read_session_never_holds_the_files_text(tmp_path):
+    # the file is read a block at a time: beyond the stream it returns, the
+    # parse holds far less than the file's text at its peak
+    path = tmp_path / "rec.svc"
+    path.write_text("".join(f"{10000 + i % 9973} {i % 7919 - 20000} {100000 + 3 * i} {i % 2}\n"
+                            for i in range(60000)), encoding="utf-8")
+    read_session(path)  # what the first parse imports is not the parse's
+    tracemalloc.start()
+    try:
+        stream = read_session(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stream.t) == 60000
+    assert peak - held < path.stat().st_size / 2
 
 
 def parse_report(tmp_path, capsys, text):
@@ -402,7 +421,7 @@ def refuse_to_read_a_line(last_t, t, status, pressure):
 
 
 @pytest.mark.parametrize("final_newline", [True, False])
-def test_canonical_text_never_leaves_the_scanner(final_newline, monkeypatch):
+def test_canonical_text_never_leaves_the_scanner(final_newline, monkeypatch, tmp_path):
     # a block refused by mistake would still be read right, only slower
     n = 8000
     stream = SampleStream.from_columns(range(n), range(0, -n, -1), range(1, n + 1),
@@ -416,6 +435,12 @@ def test_canonical_text_never_leaves_the_scanner(final_newline, monkeypatch):
     monkeypatch.setattr(ingest, "_row_fault", refuse_to_read_a_line)
     assert parse_session(seven) == stream
     assert parse_session(four).t == tuple(range(n))
+    # a file's "\r\n" and "\r" line ends are read as "\n", after any byte order mark
+    path = tmp_path / "rec.svc"
+    for eol, bom in (("\r\n", b""), ("\r", b""), ("\r\n", codecs.BOM_UTF8)):
+        for text in (seven, four):
+            path.write_bytes(bom + text.replace("\n", eol).encode("ascii"))
+            assert read_session(path) == parse_session(text, source_id=str(path))
 
 
 def test_lone_surrogate_is_a_non_integer_field():

@@ -3,10 +3,13 @@
 ``reference_parse`` is the row-by-row parser that ``parse_session`` replaced,
 kept here as the oracle: on every generated text both must return the same
 samples and warnings, or raise the same exception with the same message and
-line number.
+line number. ``read_session``, which reads a file a block at a time, is held
+to ``parse_session`` of the file's text read whole.
 """
 
 import re
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -20,10 +23,13 @@ from penair import (
     SampleStream,
     TimestampOrderError,
     parse_session,
+    read_session,
     segment,
     serialize_session,
 )
 from penair import ingest
+
+from test_cli_fuzz import FILE_BYTES
 
 
 def reference_parse(text, options=None, source_id="<stream>"):
@@ -196,6 +202,72 @@ def test_parse_matches_reference_across_default_blocks():
     rows[4400] = "1 2 3 1 0 0 -4"
     bad = "\n".join(rows)
     assert _outcome(parse_session, bad) == _outcome(reference_parse, bad)
+
+
+@st.composite
+def recording_files(draw):
+    """The bytes of a canonical recording with "\n", "\r\n" or "\r" line
+    ends, maybe after a byte order mark. Now and then a form feed or U+2028
+    is put in, and a faulty row or a repeated timestamp comes before one
+    ``\xff`` at a drawn offset."""
+    width = draw(st.sampled_from([4, 7]))
+    t = draw(st.integers(-50, 50))
+    rows = []
+    for _ in range(draw(st.integers(1, 30))):
+        t += draw(st.integers(1, 9))
+        rows.append([draw(st.integers(-300, 300)), draw(st.integers(-300, 300)), t,
+                     draw(st.integers(0, 1))] + [draw(st.integers(0, 90))] * (width - 4))
+    fault = draw(st.integers(0, len(rows) - 1))
+    kind = draw(st.sampled_from([None, "bad", "dup"]))
+    if kind == "bad":
+        rows[fault][0] = "x"
+    elif kind == "dup" and fault:
+        rows[fault][2] = rows[fault - 1][2]
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [" ".join(map(str, row)) for row in rows]
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    if kind and draw(st.booleans()):  # a bad byte after the fault, "\xff" once encoded
+        at = draw(st.integers(len(eol.join(lines[:fault + 1])), len(text)))
+        text = text[:at] + "\udcff" + text[at:]
+    odd = draw(st.sampled_from([None, "\x0c", "\u2028"]))
+    if odd:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + odd + text[at:]
+    return b"\xef\xbb\xbf" * draw(st.booleans()) + text.encode("utf-8", "surrogateescape")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(FILE_BYTES, recording_files()), block_chars=st.integers(1, 200),
+       derive=st.booleans())
+# a file that is only part of a byte order mark reads as empty, as utf-8-sig reads it
+@example(data=b"\xef", block_chars=1, derive=False)
+@example(data=b"\xef\xbb", block_chars=1, derive=False)
+@example(data=b"\xef\xbbx", block_chars=1, derive=False)
+# past the file's first byte, a byte order mark is a field's character, even at a block's start
+@example(data=b"0 0 1 1\n\xef\xbb\xbf0 0 2 1\n", block_chars=7, derive=False)
+# "\r\n" ends at block boundaries, and lone "\r" ends, which never end a block
+@example(data=b"0 0 1 1\r\n0 0 2 1\r\n0 0 3 1\r\n", block_chars=7, derive=False)
+@example(data=b"0 0 1 1\r0 0 2 1\r0 0 2 1\r", block_chars=7, derive=False)
+# a bad row, then three blocks later a bad byte: the bad byte is the error
+@example(data=b"0 0 1 1\n0 x 2 1\n0 0 3 1\n0 0 4 1\n0 0 5 1\n\xff", block_chars=8, derive=False)
+@example(data=b"\xef\xbb\xbf0 0 1 1\n0 0 1 1\n0 0 3 1\n0 0 4 1\n0 0 5 1\n0 \xff",
+         block_chars=8, derive=True)
+def test_read_session_reads_a_file_as_parse_session_reads_its_text(data, block_chars, derive):
+    # the reference is the file read whole, then parsed: every outcome, stream
+    # and warnings or exception and message, must be the same at any block size
+    opts = ParseOptions(derive_status_from_pressure=derive)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rec.svc"
+        path.write_bytes(data)
+        try:
+            text = ingest.read_text(path, ParseError)
+        except ParseError as exc:
+            want = "error", (ParseError, str(exc), None)
+        else:
+            want = _outcome(lambda: parse_session(text, opts, source_id=str(path)))
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+            got = _outcome(read_session, path, opts)
+    assert got == want
 
 
 columns = st.integers(1, 30).flatmap(lambda n: st.tuples(
