@@ -368,43 +368,37 @@ def _parse_blocks(blocks: Iterable[str | bytes], options: ParseOptions | None,
 
 
 def read_text(path: Path, error: type[Exception], newline: str | None = None) -> str:
-    """A file's UTF-8 text, a leading byte order mark dropped, its line ends
-    translated as ``open(newline=newline)`` does: to ``"\\n"`` by default,
+    """A file's UTF-8 text, a whole leading byte order mark dropped, its line
+    ends translated as ``open(newline=newline)`` does: to ``"\\n"`` by default,
     none with ``newline=""``. Bytes that are not UTF-8 raise ``error`` naming
-    the file and the offset of the first bad byte."""
+    the file and the first bad byte's offset from the file's first byte."""
     try:
-        with open(path, encoding="utf-8-sig", newline=newline) as file:
-            return file.read()
+        with open(path, encoding="utf-8", newline=newline) as file:
+            return file.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        # the codec counts from after a byte order mark, the file from its start
-        bom = path.read_bytes().startswith(codecs.BOM_UTF8)
-        offset = exc.start + len(codecs.BOM_UTF8) * bom
-        raise error(f"{path}: not UTF-8 text: byte {offset}: {exc.reason}") from None
+        raise error(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from None
 
 
 def _file_blocks(file, path: Path) -> Iterator[str | bytes]:
     """The text of a recording ``file`` opened ``"rb"``, a block at a time:
-    about _BLOCK_CHARS bytes, then the rest of their line. An ASCII block
-    stays bytes, any other is decoded; one that is not UTF-8 raises
-    read_text's ParseError. Parsed, the blocks give what read_text's text gives."""
-    offset = 0  # the file's bytes before the block
+    about _BLOCK_CHARS bytes, then the rest of their line, a whole leading byte
+    order mark dropped. An ASCII block stays bytes, any other is decoded or
+    raises read_text's ParseError. Parsed, they give what read_text's text gives."""
     while raw := file.read(_BLOCK_CHARS) + file.readline():
         block = raw
-        # a byte order mark, or a file that is only part of one, as utf-8-sig reads it
-        if not offset and codecs.BOM_UTF8.startswith(raw[:3]):
+        if file.tell() == len(raw) and raw.startswith(codecs.BOM_UTF8):
             block = raw[3:]
         if not block.isascii():
             try:
                 block = block.decode("utf-8")
-            except UnicodeDecodeError as exc:  # the offset counts a byte order mark
+            except UnicodeDecodeError as exc:
                 raise ParseError(f"{path}: not UTF-8 text: byte "
-                                 f"{offset + len(raw) - len(block) + exc.start}: "
+                                 f"{file.tell() - len(block) + exc.start}: "
                                  f"{exc.reason}") from None
         elif b"\r" in block:
             # universal newlines, so that the JSON scanner reads a CRLF file; the
             # line reader, which reads any other block, splits lines at "\r" too
             block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        offset += len(raw)
         yield block
 
 

@@ -336,6 +336,38 @@ def test_compare_exact_limit_switches_method(tmp_path, capsys):
     assert args.exact_limit == RunConfig.exact_limit == stats.DEFAULT_EXACT_LIMIT
 
 
+def at_alpha_manifest(tmp_path):
+    """Ten files of task t whose Strokes_AL, one per step of 5 ticks among
+    steps of 1, pool to an exact p of 1/20: 3 files in cohort a, 7 in b."""
+    rows = []
+    for i, (k, cohort) in enumerate([(k, "a") for k in (0, 0, 2)]
+                                    + [(k, "b") for k in (4, 3, 3, 6, 1, 5, 1)]):
+        ticks = itertools.accumulate((5 if j < k else 1 for j in range(99)), initial=0)
+        write_session(tmp_path, f"f{i}.svc", "".join(f"0 0 {t} 1\n" for t in ticks))
+        rows.append(f"f{i}.svc,db,t,s{i},{cohort}")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(manifest_text(*rows), encoding="utf-8")
+    return manifest
+
+
+def test_compare_p_of_exactly_alpha_is_not_significant(tmp_path, capsys):
+    compare = ["compare", str(at_alpha_manifest(tmp_path)), "--cohort-a", "a", "--cohort-b", "b"]
+    assert main(compare) == 0
+    assert "t,Strokes_AL,3,7,2,0.05,exact,false" in capsys.readouterr().out.splitlines()
+    assert main(compare + ["--format", "md"]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == (
+        "| t | 0.0500 | 1.0000 | 0.0500 | 0.0500 | 1.0000 | 0.0500 |")
+
+
+def test_compare_is_exact_up_to_exact_limit(tmp_path, capsys):
+    compare = ["compare", str(at_alpha_manifest(tmp_path)), "--cohort-a", "a", "--cohort-b", "b"]
+    assert main(compare + ["--exact-limit", "10"]) == 0
+    assert "t,Strokes_AL,3,7,2,0.05,exact,false" in capsys.readouterr().out.splitlines()
+    assert main(compare + ["--exact-limit", "9"]) == 0
+    assert ("t,Strokes_AL,3,7,2,0.0657425747669786,approx,false"
+            in capsys.readouterr().out.splitlines())
+
+
 def test_compare_names_excluded_files_of_compared_cohorts_only(tmp_path, capsys):
     # anomalous files of the two compared cohorts in --database are named in
     # manifest order; those of another cohort or database are not, and the
@@ -1049,6 +1081,27 @@ def test_undecodable_files_exit_two_naming_file_and_byte(tmp_path, capsys, monke
         # the path once: manifest commands add it only to errors that lack it
         assert captured.err == (
             f"error: {path}: not UTF-8 text: byte {offset}: invalid start byte\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_part_of_a_byte_order_mark_is_not_utf8(tmp_path, capsys):
+    # only a whole mark is dropped; its first one or two bytes alone are a
+    # truncated UTF-8 sequence at the file's first byte, not an empty file
+    rec = tmp_path / "rec.svc"
+    rec.write_bytes(b"\xef")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(b"\xef\xbb")
+    spec = tmp_path / "corpus.ini"
+    spec.write_bytes(b"\xef")
+    cases = [
+        (["parse", str(rec)], rec),
+        (["features", str(manifest)], manifest),
+        (["synth", "--spec", str(spec), "--seed", "1", "--out", str(tmp_path / "out")], spec),
+    ]
+    for argv, path in cases:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == (
+            "", f"error: {path}: not UTF-8 text: byte 0: unexpected end of data\n")
     assert not (tmp_path / "out").exists()
 
 

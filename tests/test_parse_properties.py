@@ -239,7 +239,7 @@ def recording_files(draw):
 @settings(max_examples=300, deadline=None)
 @given(data=st.one_of(FILE_BYTES, recording_files()), block_chars=st.integers(1, 200),
        derive=st.booleans())
-# a file that is only part of a byte order mark reads as empty, as utf-8-sig reads it
+# only a whole byte order mark is dropped: part of one is a bad byte at offset 0
 @example(data=b"\xef", block_chars=1, derive=False)
 @example(data=b"\xef\xbb", block_chars=1, derive=False)
 @example(data=b"\xef\xbbx", block_chars=1, derive=False)

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, isclose
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from penair import (
     ALPHA,
@@ -16,10 +17,11 @@ from penair import (
     compare_cohorts,
     exact_p,
     mann_whitney_u,
+    render_p_table,
 )
 from penair.stats import _doubled_u
 
-from oracles import enumerated_p, pairwise_u
+from oracles import enumerated_p, normal_p, pairwise_u
 
 
 def doubled_midranks(values):
@@ -194,6 +196,21 @@ def test_approx_p_matches_scipy():
         assert abs(min(ours, 1.0) - min(ref.pvalue, 1.0)) < 1e-12
 
 
+# few distinct values, so most pools are tied; at most 12 a side keeps p
+# above 1e-5, where the reference's 1 + erf(-x) still holds nine digits
+tied_side = st.lists(st.integers(0, 5), min_size=1, max_size=12)
+
+
+@given(tied_side, tied_side)
+@example([0, 0, 2], [4, 3, 3, 6, 1, 5, 1])
+@example([1, 2, 2, 3], [2, 3, 3, 3, 7])
+@example(list(range(1, 16)), list(range(4, 19)))
+@example([1, 4], [2, 3])
+@example([5, 5], [5, 5])
+def test_approx_p_matches_normal_reference(a, b):
+    assert isclose(approx_p(mann_whitney_u(a, b)), normal_p(a, b), rel_tol=1e-9)
+
+
 def test_significance_level_is_strict():
     assert ALPHA == Fraction(1, 20)
     assert not Fraction(1, 20) < ALPHA
@@ -232,6 +249,28 @@ def test_compare_switches_to_approximation():
     small = compare_cohorts(a[:5], b[:5], "sig", Feature.TIME_ON_SURFACE)
     assert small.method == "exact"
     assert isinstance(small.p, Fraction)
+
+
+# a pool of ten whose exact p is 1/20 exactly: the level itself
+AT_ALPHA = ([0, 0, 2], [4, 3, 3, 6, 1, 5, 1])
+
+
+def test_p_of_exactly_alpha_is_not_significant():
+    a, b = ([labeled(v) for v in side] for side in AT_ALPHA)
+    result = compare_cohorts(a, b, "sig", Feature.TIME_ON_SURFACE)
+    assert result.p == Fraction(1, 20)
+    assert result.method == "exact"
+    assert result.significant is False
+    assert render_p_table([result]).splitlines()[1] == "sig,0.0500,,,,,"
+
+
+def test_compare_is_exact_up_to_exact_limit():
+    a, b = ([labeled(v) for v in side] for side in AT_ALPHA)
+    at_limit = compare_cohorts(a, b, "sig", Feature.TIME_ON_SURFACE, exact_limit=10)
+    assert (at_limit.method, at_limit.p) == ("exact", Fraction(1, 20))
+    past_limit = compare_cohorts(a, b, "sig", Feature.TIME_ON_SURFACE, exact_limit=9)
+    assert past_limit.method == "approx"
+    assert isinstance(past_limit.p, float)
 
 
 def test_compare_excludes_anomalous_and_filters_task():
