@@ -15,10 +15,12 @@ a form feed, U+0085 and U+2028 end a row too. An integer field with more
 digits than ``sys.get_int_max_str_digits()`` is a ParseError naming its digit
 count and the limit.
 
-A file is read a block of bytes at a time, some thousand lines each, and
-its text is never held whole; a str is parsed in blocks of as many
-characters. An ASCII block of a file stays bytes, its ``"\\r\\n"`` and
-``"\\r"`` line ends made ``"\\n"``, and any other is decoded. A block whose byte
+A file is read a block of bytes at a time, some thousand lines each, and a
+str in blocks of as many characters, each cut just after a ``"\\n"``: a
+file's text is never held whole, but one whose lines end only in ``"\\r"``
+is one block. An ASCII block of either is bytes, any other is decoded. The
+parser makes a bytes block's ``"\\r\\n"`` and ``"\\r"`` line ends ``"\\n"``,
+and only bytes reach the JSON scanner. A block whose byte
 skeleton, what is left once the digits and ``-`` are deleted, shows
 ``width`` fields on every line (``width - 1`` spaces, then ``"\\n"``) is
 read by the JSON scanner, in C, as one flat array of the block's fields,
@@ -226,8 +228,9 @@ class ParseOptions(Frozen):
 
 
 # A recording is parsed a block of about this many characters of a str, or
-# bytes of a file (some thousand rows), at a time: read as one flat JSON array
-# where _scanned_columns can and the rows break no rule, else line by line.
+# bytes of a file (some thousand rows), at a time. An ASCII block, of either,
+# is bytes, its line ends made "\n" by _parse_blocks: read as one flat JSON
+# array where _scanned_columns can and the rows break no rule, else line by line.
 _BLOCK_CHARS = 32768
 
 # the characters of a field of serialize_session's subset, "-?[0-9]+"
@@ -236,16 +239,16 @@ _FIELD_CHARS = b"0123456789-"
 _COMMAS = bytes.maketrans(b" \n", b",,")
 
 
-def _scanned_columns(chunk: str | bytes, width: int | None = None) -> list[list[int]] | None:
-    """The columns of ``chunk``, lines that each end in ``"\\n"`` but maybe
-    the last, read by the JSON scanner if every line holds ``width`` fields
-    (the first line's count if None) in serialize_session's subset; else None.
-    A bytes chunk is ASCII.
+def _scanned_columns(raw: bytes, width: int | None = None) -> list[list[int]] | None:
+    """The columns of ``raw``, ASCII bytes whose lines each end in ``"\\n"``
+    but maybe the last, read by the JSON scanner if every line holds ``width``
+    fields (the first line's count if None) in serialize_session's subset;
+    else None.
 
     Deleting the fields' characters, digits and ``-``, leaves a line of the
     subset as ``width - 1`` spaces and its line end, so one comparison of the
-    chunk's skeleton proves every line's width: a blank line, or lines whose
-    widths balance out, fail it. The chunk, its spaces and line ends made
+    skeleton proves every line's width: a blank line, or lines whose
+    widths balance out, fail it. The bytes, their spaces and line ends made
     commas, is then a flat JSON array exactly when every field is
     ``-?(0|[1-9][0-9]*)`` within the digit limit and every separator one
     space: a subset of the ``int()`` literals, read to the same values.
@@ -253,13 +256,6 @@ def _scanned_columns(chunk: str | bytes, width: int | None = None) -> list[list[
     """
     import json  # only a command that parses a recording loads it
 
-    if isinstance(chunk, bytes):
-        raw = chunk
-    # isascii first: a lone surrogate, which a caller's str may hold, cannot be encoded
-    elif chunk.isascii():
-        raw = chunk.encode("ascii")
-    else:
-        return None
     if not raw.endswith(b"\n"):  # the file's last line, unterminated
         raw += b"\n"
     skeleton = raw.translate(None, _FIELD_CHARS)
@@ -301,34 +297,39 @@ def parse_session(
     return _parse_blocks(_text_blocks(text), options, source_id)
 
 
-def _text_blocks(text: str) -> Iterator[str]:
-    # cut just after a "\n", so the blocks' splitlines() adds up to the text's
+def _text_blocks(text: str) -> Iterator[str | bytes]:
+    # cut just after a "\n", so the blocks' splitlines() adds up to the text's;
+    # isascii first: a lone surrogate, which a caller's str may hold, cannot be encoded
     pos = 0
     while pos < len(text):
         end = text.find("\n", pos + _BLOCK_CHARS) + 1 or len(text)
-        yield text[pos:end]
+        block = text[pos:end]
+        yield block.encode("ascii") if block.isascii() else block
         pos = end
 
 
 def _parse_blocks(blocks: Iterable[str | bytes], options: ParseOptions | None,
                   source_id: str) -> SampleStream:
     """parse_session of the text that ``blocks`` make up, each ending just
-    after a ``"\\n"`` but the last; a bytes block is ASCII."""
+    after a ``"\\n"`` but the last, and each ASCII bytes or decoded str. Only
+    a bytes block, its line ends made ``"\\n"`` here, goes to the JSON scanner."""
     opts = options or ParseOptions()
     width = last_t = None
     lineno = 0  # lines read so far: the next one is line lineno + 1
     columns: list[list[int]] = [[] for _ in COLUMNS]
     warnings: list[ParseWarning] = []
     for chunk in blocks:
-        block = _scanned_columns(chunk, width)
-        if block is not None and len(block) in (4, 7) and _follows_rules(
-                block[2], block[3], block[6] if len(block) == 7 else (), last_t):
-            for column, values in zip(columns, block):  # its lines are rows, one each
-                column.extend(values)
-            width, last_t = len(block), block[2][-1]
-            lineno += len(block[2])
-            continue
         if isinstance(chunk, bytes):
+            if b"\r" in chunk:  # "\r\n" and "\r" end a line as "\n" does
+                chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            block = _scanned_columns(chunk, width)
+            if block is not None and len(block) in (4, 7) and _follows_rules(
+                    block[2], block[3], block[6] if len(block) == 7 else (), last_t):
+                for column, values in zip(columns, block):  # its lines are rows, one each
+                    column.extend(values)
+                width, last_t = len(block), block[2][-1]
+                lineno += len(block[2])
+                continue
             chunk = chunk.decode("ascii")
         # read row by row, so every diagnostic is the row reader's, in its order
         for line in chunk.splitlines():
@@ -395,16 +396,12 @@ def _file_blocks(file, path: Path) -> Iterator[str | bytes]:
                 raise ParseError(f"{path}: not UTF-8 text: byte "
                                  f"{file.tell() - len(block) + exc.start}: "
                                  f"{exc.reason}") from None
-        elif b"\r" in block:
-            # universal newlines, so that the JSON scanner reads a CRLF file; the
-            # line reader, which reads any other block, splits lines at "\r" too
-            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         yield block
 
 
 def read_session(path: str | Path, options: ParseOptions | None = None) -> SampleStream:
-    """Read and parse one recording file, a block at a time: its text is
-    never held whole. The outcome is parse_session's of read_text's text."""
+    """Read and parse one recording file a block at a time, as _file_blocks
+    cuts it. The outcome is parse_session's of read_text's text."""
     p = Path(path)
     with open(p, "rb") as file:
         blocks = _file_blocks(file, p)

@@ -1,10 +1,10 @@
 """Rank statistics for comparing feature distributions between two cohorts.
 
 Mann-Whitney U with midranks for ties, kept as integer doubled midranks so
-U_A is exact; _doubled_u computes them. On the exact path compare_cohorts
-ranks each pool twice, in mann_whitney_u and again in exact_p, because
-bench/trace_child.py times and counts the two by name. Two routes to a
-two-sided p-value:
+U_A is exact; _doubled_u computes them and sizes the tie groups. On the
+exact path compare_cohorts ranks each pool twice, in mann_whitney_u and
+again in exact_p, because bench/trace_child.py times and counts the two by
+name. Two routes to a two-sided p-value:
 
 * exact_p: the probability, over all C(n_a + n_b, n_a) assignments of the
   pooled values to the two groups, of a U at least as far from the null mean
@@ -56,30 +56,28 @@ class RankTestResult(namedtuple("RankTestResult", "task feature u p method signi
     __slots__ = ()
 
 
-def _doubled_u(a: Sequence, b: Sequence) -> tuple[int, list[int]]:
-    """2*U_A = 2*R_A - n_a(n_a+1), exact, and every pooled value's doubled
-    midrank in ascending order: a tie group of t values after ``before``
-    smaller ones scores 2*before + t + 1."""
+def _doubled_u(a: Sequence, b: Sequence) -> tuple[int, list[int], tuple[int, ...]]:
+    """2*U_A = 2*R_A - n_a(n_a+1), exact, every pooled value's doubled
+    midrank in ascending order (a tie group of t values after ``before``
+    smaller ones scores 2*before + t + 1) and every tie group's size."""
     n_a = len(a)
     if n_a < 1 or len(b) < 1:
         raise ValueError("both groups need at least one value")
     pooled = list(a) + list(b)
     order = sorted(range(len(pooled)), key=pooled.__getitem__)
+    sizes = [len(list(group)) for _, group in groupby(order, key=pooled.__getitem__)]
     scores: list[int] = []
-    for _, group in groupby(order, key=pooled.__getitem__):
-        t = len(list(group))
+    for t in sizes:
         scores += [2 * len(scores) + t + 1] * t
     r2_a = sum(score for score, i in zip(scores, order) if i < n_a)
-    return r2_a - n_a * (n_a + 1), scores
+    return r2_a - n_a * (n_a + 1), scores, tuple(sizes)
 
 
 def mann_whitney_u(a: Sequence, b: Sequence) -> UStat:
     """U for both groups via the rank-sum formula U_A = R_A - n_a(n_a+1)/2."""
-    u2, scores = _doubled_u(a, b)
+    u2, _, sizes = _doubled_u(a, b)
     n_a, n_b = len(a), len(b)
     u_a = u2 / 2
-    # tie groups have distinct doubled midranks, so equal scores are one group
-    sizes = tuple(len(list(run)) for _, run in groupby(scores))
     return UStat(u_a=u_a, u_b=n_a * n_b - u_a, n_a=n_a, n_b=n_b, tie_profile=sizes)
 
 
@@ -122,7 +120,7 @@ def exact_p(a: Sequence, b: Sequence, exact_limit: int = DEFAULT_EXACT_LIMIT) ->
     n = n_a + n_b
     if n > exact_limit:
         raise ExactSizeError(f"pooled size {n} exceeds exact limit {exact_limit}")
-    u2, scores = _doubled_u(a, b)
+    u2, scores, _ = _doubled_u(a, b)
     center = n_a * n_b  # doubled null mean
     deviation = abs(u2 - center)
     if deviation == 0:  # every assignment counts; the tails below would overlap

@@ -341,15 +341,19 @@ def member_text(spec: CorpusSpec, master_seed: int, member: tuple[str, int]) -> 
 def write_corpus(spec: CorpusSpec, texts: list[str], out_dir: str | Path) -> Path:
     """Write ``texts``, one per corpus member in manifest order, and
     ``manifest.csv``; returns the manifest path. The manifest is read back by
-    load_manifest first, so a manifest the reader would refuse leaves no
-    files behind."""
+    load_manifest first, so one the reader would refuse, or read as other
+    labels, leaves no files behind."""
     stems = [(_member_stem(cohort, i), cohort) for cohort, i in corpus_members(spec)]
     rows = [(f"{stem}.svc", spec.database, spec.task, stem, cohort) for stem, cohort in stems]
     manifest_text = csv_text(MANIFEST_HEADER, rows)
     try:  # what the manifest reader would refuse is not written
-        load_manifest(manifest_text)
+        records = load_manifest(manifest_text)
     except ManifestError as exc:
         raise SynthSpecError(f"manifest.csv would be refused: {exc}") from None
+    for row, record in zip(rows, records):  # nor what it would read otherwise
+        for name, wrote, read in zip(MANIFEST_HEADER, row, map(str, vars(record).values())):
+            if wrote != read:
+                raise SynthSpecError(f"manifest.csv would read {name} {wrote!r} as {read!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for (name, *_), text in zip(rows, texts):

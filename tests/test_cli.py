@@ -257,6 +257,17 @@ def test_features_schema(tmp_path, capsys):
         assert all(int(c) >= 0 for c in cells[5:11])
 
 
+def test_features_anomaly_threshold_is_strict(tmp_path, capsys):
+    # BAD_TEXT's long in-air time is 194 of its 202 ticks: 97/101, at the threshold, not above
+    write_session(tmp_path, "bad.svc", BAD_TEXT)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(manifest_text("bad.svc,db,t,s,c"), encoding="utf-8")
+    for threshold, anomalous in (("97/101", "false"), ("96/101", "true")):
+        assert main(["features", str(manifest), "--anomaly-threshold", threshold]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.endswith(f"bad.svc,db,t,s,c,4,4,194,2,2,1,{anomalous}")
+
+
 def test_aggregate_table(tmp_path, capsys):
     manifest = make_corpus(tmp_path)
     capsys.readouterr()

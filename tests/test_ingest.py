@@ -30,6 +30,8 @@ from penair import ingest
 from penair.ingest import MANIFEST_HEADER, ManifestRecord, csv_text
 from penair.cli import main
 
+from test_parse_properties import _outcome, reference_parse
+
 
 def test_parse_single_row():
     stream = parse_session("10 20 100 1 0 0 512")
@@ -404,7 +406,7 @@ def canonical_rows(n):
     ("1 -2 3 4\n5 6 7 0", [[1, -2, 3, 4], [5, 6, 7, 0]]),
     ("1 2\n\n3 4\n", None),  # a blank line
     ("1 2\r\n", None), ("1\t2\n", None), ("+1 2\n", None), ("1.5 2\n", None),
-    ("٣ 2\n", None), ("1 \ud800\n", None), ("007 2\n", None), ("1  2\n", None), ("1 2 \n", None),
+    ("007 2\n", None), ("1  2\n", None), ("1 2 \n", None),
     (" 1 2\n", None), ("1-2 3\n", None), ("- 1\n", None), ("--1 2\n", None),
     ("0 0 1 1\n\n0 0 2 1\n", None),  # a blank line among four-column rows
     ("0 0 1 1\n0 0 2\n1 0 0 3 1\n", None),  # 4, 3 and 5 fields: 12, as three rows of 4 hold
@@ -412,7 +414,21 @@ def canonical_rows(n):
 def test_json_scanner_reads_exactly_the_writers_subset(chunk, rows):
     # any width is scanned, the first line's; the rows come back as columns
     columns = rows and [list(column) for column in zip(*rows)]
-    assert ingest._scanned_columns(chunk) == columns
+    assert ingest._scanned_columns(chunk.encode("ascii")) == columns
+
+
+def refuse_to_scan(raw, width=None):
+    raise AssertionError(f"scanned: {raw!r}")
+
+
+@pytest.mark.parametrize("text", ["٣ 2\n", "1 \ud800\n", "٣ 2 1 1\n0 0 2 1\n"])
+def test_non_ascii_text_is_read_line_by_line(text, monkeypatch):
+    # only ASCII bytes reach the JSON scanner; a lone surrogate cannot even be encoded
+    monkeypatch.setattr(ingest, "_scanned_columns", refuse_to_scan)
+    got = _outcome(parse_session, text)
+    if got[0] == "ok":
+        got = ("ok", (tuple(got[1].samples), got[1].warnings))
+    assert got == _outcome(reference_parse, text)
 
 
 def refuse_to_read_a_line(last_t, t, status, pressure):
@@ -435,6 +451,10 @@ def test_canonical_text_never_leaves_the_scanner(final_newline, monkeypatch, tmp
     monkeypatch.setattr(ingest, "_row_fault", refuse_to_read_a_line)
     assert parse_session(seven) == stream
     assert parse_session(four).t == tuple(range(n))
+    # a text's "\r\n" and "\r" line ends are read as "\n"
+    for eol in ("\r\n", "\r"):
+        assert parse_session(seven.replace("\n", eol)) == stream
+        assert parse_session(four.replace("\n", eol)) == parse_session(four)
     # a file's "\r\n" and "\r" line ends are read as "\n", after any byte order mark
     path = tmp_path / "rec.svc"
     for eol, bom in (("\r\n", b""), ("\r", b""), ("\r\n", codecs.BOM_UTF8)):

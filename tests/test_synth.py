@@ -429,6 +429,20 @@ def test_cohort_name_keeps_its_file_names_within_255_bytes():
         CorpusSpec(2, 1, {fits + "a": CohortSpec(1, dist)})
 
 
+@pytest.mark.parametrize("database, cohort, message", [
+    ("synth", " a", "manifest.csv would read path ' a_000.svc' as 'a_000.svc'"),
+    ("db ", "a", "manifest.csv would read database 'db ' as 'db'"),
+])
+def test_label_the_manifest_reads_otherwise_is_refused(tmp_path, database, cohort, message):
+    # the manifest reader strips each field, so such a corpus would name other files
+    plan = small_corpus_spec().cohorts["control"].plan
+    padded = CorpusSpec(2, 0, {cohort: CohortSpec(2, plan)}, database=database)
+    with pytest.raises(SynthSpecError) as exc:
+        generate_corpus(padded, tmp_path / "c", master_seed=1)
+    assert str(exc.value) == message
+    assert not (tmp_path / "c").exists()
+
+
 def test_carriage_return_in_a_label_survives_the_manifest(tmp_path):
     small = small_corpus_spec()
     odd = CorpusSpec(small.nominal_period, small.jitter, small.cohorts, database="a\rb",
